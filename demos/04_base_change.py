@@ -50,4 +50,4 @@ print("(I0*, I0*) branched at both ->",
 print("\nfibre products of double covers:")
 for second in (BranchLocus("c", "d"), BranchLocus("b", "c"), BranchLocus("a", "b")):
     kind = fibre_product_genus(BranchLocus("a", "b"), second)
-    print(f"  branch {{a,b}} x {set(sorted(second.places))} -> {kind.value}")
+    print(f"  branch {{a,b}} x {sorted(second.places)} -> {kind.value}")

@@ -4,8 +4,7 @@ Every invocation prints a single JSON envelope {"ok": ..., "result": ...} or
 {"ok": false, "error": {...}} on standard output; diagnostics go to standard
 error.  Exit status is 0 on success, 2 for malformed input and 3 for domain
 precondition violations.  Flag values holding JSON may be given inline or as
-"@path" to read the same JSON from a file.  PENCILFORGE_MAX_STEPS overrides
-the default Cremona step budget.
+"@path" to read the same JSON from a file.
 """
 
 from __future__ import annotations
@@ -217,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cremona = sub.add_parser("cremona", help="greedy Cremona reduction certificate")
     p_cremona.add_argument("--class", dest="cls", required=True, metavar="JSON")
-    p_cremona.add_argument("--max-steps", type=int, default=None,
-                           help="step budget (default 64, or PENCILFORGE_MAX_STEPS)")
+    p_cremona.add_argument("--max-steps", type=int, default=cremona.DEFAULT_MAX_STEPS,
+                           help=f"step budget (default {cremona.DEFAULT_MAX_STEPS})")
     p_cremona.set_defaults(handler=_cmd_cremona)
 
     p_pencil = sub.add_parser("pencil", help="construct, search or verify pencil specs")

@@ -11,27 +11,11 @@ special point positions, and a failed reduction proves nothing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .picard_lattice import NumericalClass
 
 DEFAULT_MAX_STEPS = 64
-
-_MAX_STEPS_ENV = "PENCILFORGE_MAX_STEPS"
-
-
-def _max_steps_default() -> int:
-    raw = os.environ.get(_MAX_STEPS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_STEPS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_MAX_STEPS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{_MAX_STEPS_ENV} must be non-negative, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -95,7 +79,7 @@ def _top_three(a: NumericalClass) -> tuple[int, int, int]:
     return i, j, k
 
 
-def reduce_to_line(a: NumericalClass, max_steps: int | None = None) -> ReductionCertificate:
+def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> ReductionCertificate:
     """Greedy Cremona reduction of `a` towards a line class.
 
     Transforms at the three largest multiplicities (ties towards lower
@@ -103,8 +87,6 @@ def reduce_to_line(a: NumericalClass, max_steps: int | None = None) -> Reduction
     class with d == 1 is reached; fails when d stops decreasing first or the
     step budget runs out.
     """
-    if max_steps is None:
-        max_steps = _max_steps_default()
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
 
@@ -124,7 +106,7 @@ def reduce_to_line(a: NumericalClass, max_steps: int | None = None) -> Reduction
     return ReductionCertificate(tuple(chain), current, current.d == 1)
 
 
-def is_connected_class(a: NumericalClass, max_steps: int | None = None) -> bool:
+def is_connected_class(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
     """Numerical connectedness certificate: true iff greedy reduction succeeds.
 
     Sufficient, not necessary, and blind to non-general point positions.

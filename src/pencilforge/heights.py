@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .base_change import KodairaFibre
-from .picard_lattice import NumericalClass, intersect
+from .picard_lattice import NumericalClass, intersect, weighted_vectors
 
 def dynkin_type(symbol: str) -> tuple[str, int]:
     """Dynkin letter and rank attached to a Kodaira symbol.
@@ -186,29 +186,14 @@ def enumerate_section_classes(
         raise ValueError(f"d_max must be non-negative, got {d_max}")
     found: list[NumericalClass] = []
     for d in range(-d_max, d_max + 1):
-        square_budget = d * d + 1
-        linear_target = 3 * d - 1
-        for m in _vectors_with_budget(9, square_budget, linear_target):
+        square_sum = d * d + 1
+        bound = isqrt(square_sum)
+        for m in weighted_vectors((1,) * 9, square_sum, 3 * d - 1, -bound, bound):
             found.append(NumericalClass(d, m))
     if constraints:
         pinned = [(cls, int(value)) for cls, value in constraints]
         found = [c for c in found if all(intersect(c, cls) == value for cls, value in pinned)]
     return found
-
-
-def _vectors_with_budget(length: int, square_sum: int, linear_sum: int) -> Iterable[tuple[int, ...]]:
-    # Integer vectors with prescribed sum of squares and sum, ascending lex order.
-    if length == 0:
-        if square_sum == 0 and linear_sum == 0:
-            yield ()
-        return
-    # Cauchy-Schwarz feasibility cut for the remaining coordinates.
-    if linear_sum * linear_sum > square_sum * length:
-        return
-    bound = isqrt(square_sum)
-    for x in range(-bound, bound + 1):
-        for rest in _vectors_with_budget(length - 1, square_sum - x * x, linear_sum - x):
-            yield (x, *rest)
 
 
 def multiplication_pullback_degree(n: int) -> int:
@@ -244,15 +229,26 @@ class KummerInputs:
 
 
 def _floor_root(value: Fraction, exponent: Fraction) -> int:
-    """Largest integer t >= 0 with t**exponent <= value, by integer search."""
+    """Largest integer t >= 0 with t**exponent <= value, by integer search.
+
+    With exponent p/q and value**q = num/den the test is t**p * den <= num:
+    double an upper bound, then bisect.
+    """
     if value < 1:
         return 0
-    p, q = exponent.numerator, exponent.denominator
-    rhs = value ** q
-    t = 1
-    while Fraction((t + 1) ** p) <= rhs:
-        t += 1
-    return t
+    p = exponent.numerator
+    rhs = value ** exponent.denominator
+    num, den = rhs.numerator, rhs.denominator
+    lo, hi = 1, 2
+    while hi ** p * den <= num:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** p * den <= num:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def kummer_bound(inputs: KummerInputs) -> int:

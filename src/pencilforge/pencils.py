@@ -11,8 +11,9 @@ A spec is a usable pencil member when the system is at least a pencil
 (dimension bound >= 2), its members are rational (genus bound <= 0) and the
 induced map to the base of the elliptic fibration has degree exactly two.
 `construct_pencils` returns the standard pair (L1, L2) for each supported
-model/orbit configuration, `search_pencils` finds all candidates by
-exhaustive integer search.
+model/orbit configuration.  `search_pencils` finds every candidate as a
+class of the blow-up lattice with c.c = 0 and c.F = 2, constant on each
+Galois orbit, with multiplicities capped at n_max + 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .picard_lattice import NumericalClass
+from .picard_lattice import (
+    NumericalClass,
+    arithmetic_genus,
+    degree_to_base,
+    intersect,
+    riemann_roch,
+    weighted_vectors,
+)
 
 PLANE = "plane"
 
@@ -155,27 +163,17 @@ class DegreeSixReduction:
 def dim_lower_bound(spec: PencilSpec) -> int:
     """Lower bound for the linear-system dimension (as a space of sections).
 
-    A value of at least 2 guarantees a pencil.  May be negative; the sign is
+    Riemann-Roch on the spec's lattice class, less its extra conditions.  A
+    value of at least 2 guarantees a pencil.  May be negative; the sign is
     the decision criterion, so no clamping.
     """
-    n = spec.level
-    degree = model_degree(spec.model)
-    if degree is None:
-        base = (n + 1) * (n + 2) // 2
-        conditions = sum(x * (x + 1) // 2 for x in spec.mults)
-    else:
-        base = degree * (n * n + n) // 2 + 1
-        conditions = sum((x * x + x) // 2 for x in spec.mults)
-    return base - conditions - spec.extra_conditions
+    return riemann_roch(to_numerical_class(spec)) - spec.extra_conditions
 
 
 def genus_upper_bound(spec: PencilSpec) -> int:
-    """Upper bound for the genus of a member of the system."""
-    n = spec.level
-    degree = model_degree(spec.model)
-    if degree is None:
-        return (n - 1) * (n - 2) // 2 - sum(x * (x - 1) // 2 for x in spec.mults)
-    return degree * (n * n - n) // 2 + 1 - sum((x * x - x) // 2 for x in spec.mults)
+    """Upper bound for the genus of a member of the system: the arithmetic
+    genus of the spec's lattice class."""
+    return arithmetic_genus(to_numerical_class(spec))
 
 
 def degree_to_base_spec(spec: PencilSpec) -> int:
@@ -184,17 +182,16 @@ def degree_to_base_spec(spec: PencilSpec) -> int:
     Each extra condition is a tangency to the fibres at a base point and
     absorbs one intersection, hence the final subtraction.
     """
-    n = spec.level
-    degree = model_degree(spec.model)
-    raw = 3 * n if degree is None else n * degree
-    return raw - sum(spec.mults) - spec.extra_conditions
+    return degree_to_base(to_numerical_class(spec)) - spec.extra_conditions
 
 
 def verify(spec: PencilSpec) -> PencilReport:
     """Evaluate the three pencil criteria for a spec."""
-    dim = dim_lower_bound(spec)
-    genus = genus_upper_bound(spec)
-    deg = degree_to_base_spec(spec)
+    cls = to_numerical_class(spec)
+    genus = arithmetic_genus(cls)
+    deg = degree_to_base(cls) - spec.extra_conditions
+    # Riemann-Roch exceeds the arithmetic genus by exactly c.F
+    dim = genus + deg
     return PencilReport(dim, genus, deg, dim >= 2 and genus <= 0 and deg == 2)
 
 
@@ -398,45 +395,23 @@ def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[Penci
     Multiplicities range over 0..n_max+1, constant on each Galois orbit
     (invariance of the system forces that), with no extra conditions.  A
     spec is kept when dim_lower_bound >= 2, genus_upper_bound <= 0 and
-    degree_to_base_spec == 2.  Output is sorted by (level, mults).
+    degree_to_base_spec == 2.  With c.F = 2 the dimension bound exceeds the
+    genus bound by exactly 2, so these are the lattice classes c with
+    c.c = 0 and c.F = 2.  Output is sorted by (level, mults).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    degree = model_degree(model)
-    if degree is not None and orbits.total_points != degree:
-        raise ValueError(
-            f"degree-{degree} model expects {degree} points, got {orbits.total_points}")
-    if degree is None and not 1 <= orbits.total_points <= 9:
-        raise ValueError(f"plane configurations have 1..9 points, got {orbits.total_points}")
-
-    weights = orbits.sizes
-    cap = n_max + 1
+    sizes = orbits.sizes
+    zeros = (0,) * orbits.total_points
     results = []
     for level in range(1, n_max + 1):
-        # degree_to_base == 2 pins the weighted multiplicity sum
-        target = (3 * level if degree is None else level * degree) - 2
-        if target < 0:
-            continue
-        for per_orbit in _weighted_assignments(weights, target, cap):
-            mults = _mult_vector(orbits, dict(enumerate(per_orbit)))
-            spec = PencilSpec(model, level, mults)
-            if dim_lower_bound(spec) >= 2 and genus_upper_bound(spec) <= 0:
-                results.append(spec)
-    results.sort(key=lambda s: (s.level, s.mults))
+        # PencilSpec checks the orbits against the model.  Multiplicity x_i
+        # on the w_i points of orbit i lowers c0.c0 by w_i x_i^2 and c0.F by
+        # w_i x_i, so c.c = 0 and c.F = 2 pin both sums
+        c0 = to_numerical_class(PencilSpec(model, level, zeros))
+        square_sum = intersect(c0, c0)
+        linear_sum = degree_to_base(c0) - 2
+        for per_orbit in weighted_vectors(sizes, square_sum, linear_sum, 0, n_max + 1):
+            mults = tuple(x for x, size in zip(per_orbit, sizes) for _ in range(size))
+            results.append(PencilSpec(model, level, mults))
     return results
-
-
-def _weighted_assignments(weights: Sequence[int], target: int, cap: int) -> Iterable[tuple[int, ...]]:
-    # non-negative solutions of sum w_i * x_i == target with x_i <= cap
-    if not weights:
-        if target == 0:
-            yield ()
-        return
-    head, tail = weights[0], weights[1:]
-    tail_max = cap * sum(tail)
-    for x in range(0, min(cap, target // head) + 1):
-        rest = target - head * x
-        if rest > tail_max:
-            continue
-        for others in _weighted_assignments(tail, rest, cap):
-            yield (x, *others)

@@ -14,8 +14,9 @@ this convention, while the exceptional class E_j itself is (0; ..., m_j=-1,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
-from typing import Sequence
+from math import isqrt
+from operator import index, mul
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class NumericalClass:
 
     def __post_init__(self) -> None:
         # operator.index keeps the lattice exact: true integers only
-        object.__setattr__(self, "m", tuple(index(x) for x in self.m))
+        object.__setattr__(self, "m", tuple(map(index, self.m)))
         object.__setattr__(self, "d", index(self.d))
         if len(self.m) != 9:
             raise ValueError(f"multiplicity vector must have length 9, got {len(self.m)}")
@@ -81,23 +82,61 @@ FIBRE = -CANONICAL
 
 def intersect(a: NumericalClass, b: NumericalClass) -> int:
     """Intersection number a.b = d_a*d_b - sum_i m_i(a)*m_i(b)."""
-    return a.d * b.d - sum(x * y for x, y in zip(a.m, b.m))
-
-
-def arithmetic_genus(a: NumericalClass) -> int:
-    """Arithmetic genus (a.a + a.K)/2 + 1.
-
-    For an effective class this is the familiar plane-curve bound
-    (d-1)(d-2)/2 - sum m_i(m_i - 1)/2.
-    """
-    total = intersect(a, a) + intersect(a, CANONICAL)
-    assert total % 2 == 0, f"adjunction parity violated for {a}"
-    return total // 2 + 1
+    return a.d * b.d - sum(map(mul, a.m, b.m))
 
 
 def degree_to_base(a: NumericalClass) -> int:
     """Degree of the induced map to the base of the fibration, a.F = 3d - sum m_i."""
-    return intersect(a, FIBRE)
+    return 3 * a.d - sum(a.m)
+
+
+def arithmetic_genus(a: NumericalClass) -> int:
+    """Arithmetic genus (a.a + a.K)/2 + 1, with a.K = -a.F.
+
+    For an effective class this is the familiar plane-curve bound
+    (d-1)(d-2)/2 - sum m_i(m_i - 1)/2.
+    """
+    total = intersect(a, a) - degree_to_base(a)
+    assert total % 2 == 0, f"adjunction parity violated for {a}"
+    return total // 2 + 1
+
+
+def riemann_roch(a: NumericalClass) -> int:
+    """Riemann-Roch estimate (a.a - a.K)/2 + 1 of the sections of a class;
+    it exceeds the arithmetic genus by exactly a.F."""
+    return (intersect(a, a) + degree_to_base(a)) // 2 + 1
+
+
+def weighted_vectors(weights: Sequence[int], square_sum: int, linear_sum: int,
+                     lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """Integer vectors x with lo <= x_i <= hi, sum w_i x_i^2 == square_sum and
+    sum w_i x_i == linear_sum, in ascending lex order.
+
+    The weights are positive, e.g. the sizes of Galois orbits carrying one
+    multiplicity each.  Each suffix is cut by weighted Cauchy-Schwarz,
+    (sum w x)^2 <= (sum w)(sum w x^2), and its last entry is solved for.
+    """
+    last = len(weights) - 1
+    suffix = [sum(weights[i:]) for i in range(last + 1)]
+
+    def extend(i: int, squares: int, linear: int) -> Iterator[tuple[int, ...]]:
+        w = weights[i]
+        if i == last:
+            x, rest = divmod(linear, w)
+            if not rest and lo <= x <= hi and w * x * x == squares:
+                yield (x,)
+            return
+        if linear * linear > squares * suffix[i]:
+            return
+        r = isqrt(squares // w)
+        for x in range(max(lo, -r), min(hi, r) + 1):
+            for tail in extend(i + 1, squares - w * x * x, linear - w * x):
+                yield (x, *tail)
+
+    if weights:
+        yield from extend(0, square_sum, linear_sum)
+    elif square_sum == linear_sum == 0:
+        yield ()
 
 
 def mw_rank_bound(s: int) -> int:

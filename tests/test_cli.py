@@ -31,9 +31,8 @@ def test_cremona_golden_chain(capsys):
         assert first["after"] == second["before"]
 
 
-def test_cremona_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("PENCILFORGE_MAX_STEPS", "1")
-    code, payload = run(capsys, "cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]")
+def test_cremona_env_budget(capsys):
+    code, payload = run(capsys, "cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]", "--max-steps", "1")
     assert code == 0 and payload["result"]["success"] is False
     code, payload = run(capsys, "cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]", "--max-steps", "5")
     assert code == 0 and payload["result"]["success"] is True
@@ -143,6 +142,12 @@ def test_kummer_bound(capsys):
     code, payload = run(capsys, "kummer", "bound", "--h", "3", "--f1", "2/3",
                         "--c-e", "1/2", "--alpha", "2")
     assert code == 0 and payload["result"] == {"n0": 8}
+
+
+def test_kummer_bound_large_torsion_factor(capsys):
+    code, payload = run(capsys, "kummer", "bound", "--h", "100", "--f1", "1",
+                        "--c-e", "1", "--alpha", "1/4")
+    assert code == 0 and payload["result"] == {"n0": 10 ** 10}
 
 
 def test_malformed_json_exits_two(capsys):

@@ -146,14 +146,6 @@ def test_max_steps_budget():
         reduce_to_line(GOLDEN_START, max_steps=-1)
 
 
-def test_max_steps_env_override(monkeypatch):
-    monkeypatch.setenv("PENCILFORGE_MAX_STEPS", "2")
-    assert not reduce_to_line(GOLDEN_START).success
-    monkeypatch.setenv("PENCILFORGE_MAX_STEPS", "sixty")
-    with pytest.raises(ValueError):
-        reduce_to_line(GOLDEN_START)
-
-
 def test_divergent_class_terminates_by_budget():
     # top multiplicities never exceed d once it goes negative, or the degree
     # plummets without passing through one; either way the reducer halts

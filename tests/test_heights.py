@@ -250,6 +250,31 @@ def test_kummer_bound_monotone_in_h():
     assert bounds == sorted(bounds)
 
 
+def test_kummer_bound_large_torsion_factor():
+    # (100 / 1)^4 = 10^8 torsion orders times 100 division indices
+    assert kummer_bound(KummerInputs(100, 1, 1, Fraction(1, 4))) == 10 ** 10
+
+
+def linear_scan_torsion_max(h, c_e, alpha):
+    # independent oracle: count t up while c_e * (t + 1)^alpha <= h, raised
+    # to the power q of alpha = p/q and cleared of denominators
+    p, q = alpha.numerator, alpha.denominator
+    t = 0
+    while c_e.numerator ** q * (t + 1) ** p <= h ** q * c_e.denominator ** q:
+        t += 1
+    return t
+
+
+def test_kummer_bound_matches_linear_scan():
+    constants = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)]
+    exponents = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(3)]
+    for h in range(1, 13):
+        for c_e in constants:
+            for alpha in exponents:
+                want = h * linear_scan_torsion_max(h, c_e, alpha)
+                assert kummer_bound(KummerInputs(h, 1, c_e, alpha)) == want, (h, c_e, alpha)
+
+
 def test_kummer_inputs_validation():
     with pytest.raises(ValueError):
         KummerInputs(0, 1, 1, 1)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilforge.cremona import is_connected_class
 from pencilforge.pencils import (
@@ -314,18 +316,85 @@ def triangular(x):
     return x * (x + 1) // 2
 
 
-def brute_force_plane_search(sizes, n_max):
+def closed_form_bounds(model, level, mults, extra=0):
+    # independent oracle: the per-model dimension, genus and degree counts
+    # of plane curves and of anticanonical sections on del Pezzo models
+    n = level
+    if model == "plane":
+        dim = triangular(n + 1) - sum(triangular(x) for x in mults)
+        genus = triangular(n - 2) - sum(triangular(x - 1) for x in mults)
+        deg = 3 * n - sum(mults)
+    else:
+        degree = int(model[2:])
+        dim = degree * (n * n + n) // 2 + 1 - sum((x * x + x) // 2 for x in mults)
+        genus = degree * (n * n - n) // 2 + 1 - sum((x * x - x) // 2 for x in mults)
+        deg = n * degree - sum(mults)
+    return dim - extra, genus, deg - extra
+
+
+def brute_force_search(model, sizes, n_max):
     # independent oracle: plain loops over levels and orbit-constant
-    # multiplicities, checking the three criteria from scratch
+    # multiplicities, checking the three criteria from the closed forms
     hits = []
     for level in range(1, n_max + 1):
+        # degree two fixes the multiplicity sum; skip the rest cheaply
+        mult_sum = closed_form_bounds(model, level, ())[2] - 2
         for values in itertools.product(range(n_max + 2), repeat=len(sizes)):
-            dim = triangular(level + 1) - sum(s * triangular(v) for s, v in zip(sizes, values))
-            genus = triangular(level - 2) - sum(s * triangular(v - 1) for s, v in zip(sizes, values))
-            deg = 3 * level - sum(s * v for s, v in zip(sizes, values))
+            if sum(v * s for v, s in zip(values, sizes)) != mult_sum:
+                continue
+            mults = tuple(v for v, s in zip(values, sizes) for _ in range(s))
+            dim, genus, deg = closed_form_bounds(model, level, mults)
             if dim >= 2 and genus <= 0 and deg == 2:
-                hits.append((level, values))
+                hits.append((level, mults))
     return hits
+
+
+def partitions(total, smallest=1):
+    # non-decreasing tuples of positive parts summing to total
+    if total == 0:
+        yield ()
+    for part in range(smallest, total + 1):
+        for rest in partitions(total - part, part):
+            yield (part, *rest)
+
+
+# every orbit partition with a rational orbit, listed first, on every model
+ALL_CONFIGS = [("plane", sizes) for total in range(1, 10) for sizes in partitions(total) if sizes[0] == 1]
+ALL_CONFIGS += [(f"dp{d}", sizes) for d in range(1, 9) for sizes in partitions(d) if sizes[0] == 1]
+
+
+@pytest.mark.parametrize("model, sizes", ALL_CONFIGS, ids=[f"{m}-{s}" for m, s in ALL_CONFIGS])
+def test_search_matches_brute_force_on_every_configuration(model, sizes):
+    # keep the oracle's (n_max + 2) ** orbits loop small
+    n_max = 3 if len(sizes) <= 5 else 2 if len(sizes) <= 7 else 1
+    found = search_pencils(model, OrbitStructure(sizes), n_max)
+    assert [(s.level, s.mults) for s in found] == brute_force_search(model, sizes, n_max)
+
+
+MODELS = ["plane"] + [f"dp{d}" for d in range(1, 9)]
+
+
+@st.composite
+def specs(draw):
+    model = draw(st.sampled_from(MODELS))
+    points = draw(st.integers(0, 9)) if model == "plane" else int(model[2:])
+    mults = draw(st.lists(st.integers(0, 40), min_size=points, max_size=points))
+    return spec(model, draw(st.integers(1, 40)), mults, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs())
+def test_bounds_are_the_closed_forms(s):
+    bounds = (dim_lower_bound(s), genus_upper_bound(s), degree_to_base_spec(s))
+    assert bounds == closed_form_bounds(s.model, s.level, s.mults, s.extra_conditions)
+    assert dim_lower_bound(s) - genus_upper_bound(s) == degree_to_base_spec(s)
+    report = verify(s)
+    assert (report.dim_lower_bound, report.genus_upper_bound, report.degree_to_base) == bounds
+
+
+def test_verify_rejects_a_non_integer_level():
+    with pytest.raises(TypeError):
+        verify(PencilSpec("plane", 2.5, (1,)))
 
 
 def test_search_contains_the_constructed_dp4_pair():
@@ -344,17 +413,14 @@ def test_search_plane_one_eight_split_small_levels():
     # only the pencil of lines through the rational point survives: every
     # candidate touching the eight-point orbit drops the base degree below 2
     found = search_pencils("plane", OrbitStructure((1, 8)), n_max=3)
-    oracle = brute_force_plane_search((1, 8), 3)
-    assert [(s.level, (s.mults[0], s.mults[1])) for s in found] == oracle
+    assert [(s.level, s.mults) for s in found] == brute_force_search("plane", (1, 8), 3)
     assert found == [spec("plane", 1, (1, 0, 0, 0, 0, 0, 0, 0, 0))]
 
 
 def test_search_matches_brute_force_on_a_plane_case():
     sizes = (1, 5)
     found = search_pencils("plane", OrbitStructure(sizes), n_max=4)
-    oracle = brute_force_plane_search(sizes, 4)
-    flattened = [(s.level, tuple(s.mults[i] for i in (0, 1))) for s in found]
-    assert flattened == oracle
+    assert [(s.level, s.mults) for s in found] == brute_force_search("plane", sizes, 4)
     assert spec("plane", 3, (2, 1, 1, 1, 1, 1)) in found
 
 
@@ -374,3 +440,7 @@ def test_search_rejects_bad_arguments():
         search_pencils("dp5", OrbitStructure((1, 4)), n_max=0)
     with pytest.raises(ValueError):
         search_pencils("dp4", OrbitStructure((1, 4)), n_max=3)
+    with pytest.raises(ValueError):
+        search_pencils("plane", OrbitStructure((1,) + (2,) * 5), n_max=3)
+    with pytest.raises(ValueError):
+        search_pencils("dp9", OrbitStructure((1,) * 9), n_max=3)

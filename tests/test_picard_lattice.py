@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from pencilforge.picard_lattice import (
     exceptional,
     intersect,
     mw_rank_bound,
+    riemann_roch,
     unirationality_check,
+    weighted_vectors,
 )
 
 
@@ -121,3 +124,40 @@ def test_unirationality_threshold():
     for bad in (0, 11):
         with pytest.raises(ValueError):
             unirationality_check(bad)
+
+
+def test_riemann_roch_exceeds_genus_by_fibre_degree():
+    rng = random.Random(11)
+    for _ in range(500):
+        a = random_class(rng)
+        assert riemann_roch(a) - arithmetic_genus(a) == degree_to_base(a)
+
+
+def test_riemann_roch_counts_plane_curves():
+    # cubics through eight points: a pencil
+    assert riemann_roch(NumericalClass(3, (1,) * 8 + (0,))) == 2
+    # conics through a double point: 6 - 3
+    assert riemann_roch(NumericalClass(2, (2,) + (0,) * 8)) == 3
+
+
+@pytest.mark.parametrize("weights, lo, hi", [
+    ((1, 1, 1), -3, 3),
+    ((1, 2, 3), 0, 4),
+    ((2, 1, 1, 2), -2, 3),
+    ((4,), -5, 5),
+])
+def test_weighted_vectors_match_brute_force(weights, lo, hi):
+    # product() runs in lex order, so each bucket is already sorted
+    buckets = {}
+    for x in itertools.product(range(lo, hi + 1), repeat=len(weights)):
+        key = (sum(w * v * v for w, v in zip(weights, x)), sum(w * v for w, v in zip(weights, x)))
+        buckets.setdefault(key, []).append(x)
+    for square_sum in range(-1, 30):
+        for linear_sum in range(-12, 13):
+            want = buckets.get((square_sum, linear_sum), [])
+            assert list(weighted_vectors(weights, square_sum, linear_sum, lo, hi)) == want
+
+
+def test_weighted_vectors_of_no_weights():
+    assert list(weighted_vectors((), 0, 0, 0, 1)) == [()]
+    assert list(weighted_vectors((), 1, 0, 0, 1)) == []
