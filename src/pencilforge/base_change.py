@@ -25,6 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
+from .picard_lattice import strict_int
+
 _IN_RE = re.compile(r"^I(\d+)(\*?)$")
 
 # euler, component count, dual graph for the simple additive types
@@ -117,7 +119,7 @@ class FibreConfiguration:
         places = []
         i = 0
         for symbol, count in counts.items():
-            for _ in range(int(count)):
+            for _ in range(strict_int(count, f"count of {symbol}")):
                 places.append((f"v{i}", KodairaFibre(symbol)))
                 i += 1
         return cls(tuple(places))

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import base_change, cremona, heights, pencils
-from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect
+from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect, strict_int
 
 
 class CliError(Exception):
@@ -42,12 +42,16 @@ def _json_arg(value: str):
         raise CliError(2, f"malformed JSON: {exc}") from exc
 
 
-def _class_arg(value: str) -> NumericalClass:
-    payload = _json_arg(value)
+def _class_from_json(payload) -> NumericalClass:
+    # JSON true/false pass operator.index, so entries are checked strictly
     if not isinstance(payload, list):
-        raise CliError(2, f"expected a JSON array of 10 integers, got {payload!r}")
+        raise TypeError(f"expected a JSON array of 10 integers, got {payload!r}")
+    return NumericalClass.from_list([strict_int(x, "class entry") for x in payload])
+
+
+def _class_arg(value: str) -> NumericalClass:
     try:
-        return NumericalClass.from_list(payload)
+        return _class_from_json(_json_arg(value))
     except (TypeError, ValueError) as exc:
         raise CliError(2, str(exc)) from exc
 
@@ -63,9 +67,10 @@ def _orbits_arg(value: str) -> pencils.OrbitStructure:
     payload = _json_arg(value)
     if not isinstance(payload, dict) or "orbit_sizes" not in payload:
         raise CliError(2, "orbits must be JSON like {\"orbit_sizes\": [...], \"rational_orbit_index\": 0}")
+    # OrbitStructure checks sizes and index strictly (TypeError, exit 2)
     return pencils.OrbitStructure(
         tuple(payload["orbit_sizes"]),
-        int(payload.get("rational_orbit_index", 0)),
+        payload.get("rational_orbit_index", 0),
     )
 
 
@@ -143,7 +148,7 @@ def _cmd_pencil_verify(args) -> dict:
     try:
         spec = pencils.PencilSpec.from_json(payload)
     except (KeyError, TypeError) as exc:
-        raise CliError(2, f"spec object needs model/level/mults: {exc}") from exc
+        raise CliError(2, f"spec object needs model and integer level/mults: {exc}") from exc
     return _spec_result(spec)
 
 
@@ -164,14 +169,15 @@ def _cmd_height_pair(args) -> str:
     if not isinstance(payload, dict):
         raise CliError(2, "height data must be a JSON object")
     try:
+        # SectionIntersections checks every integer strictly
         data = heights.SectionIntersections(
-            int(payload["PO"]),
-            int(payload["QO"]),
-            int(payload["PQ"]),
-            tuple((int(a), int(b)) for a, b in payload.get("components", [])),
+            payload["PO"],
+            payload["QO"],
+            payload["PQ"],
+            tuple((a, b) for a, b in payload.get("components", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(2, f"height data needs PO/QO/PQ and component pairs: {exc}") from exc
+        raise CliError(2, f"height data needs integer PO/QO/PQ and component pairs: {exc}") from exc
     fibres = _json_arg(args.fibres) if args.fibres else []
     if not isinstance(fibres, list):
         raise CliError(2, "--fibres must be a JSON list of fibre symbols")
@@ -189,7 +195,7 @@ def _cmd_sections(args) -> dict:
         if not isinstance(payload, list):
             raise CliError(2, "--constraints must be a JSON list of [class, value] pairs")
         try:
-            constraints = [(NumericalClass.from_list(cls), int(value)) for cls, value in payload]
+            constraints = [(_class_from_json(cls), value) for cls, value in payload]
         except (TypeError, ValueError) as exc:
             raise CliError(2, f"constraint entries must be [10-int class, value]: {exc}") from exc
     classes = heights.enumerate_section_classes(constraints, args.d_max)

@@ -51,6 +51,15 @@ class ReductionCertificate:
         return [step.to_json() for step in self.chain]
 
 
+def _transform(d: int, m: list[int], i: int, j: int, k: int) -> int:
+    # the transformation at 0-based i, j, k: rewrites m in place, returns d'
+    mi, mj, mk = m[i], m[j], m[k]
+    m[i] = d - mj - mk
+    m[j] = d - mi - mk
+    m[k] = d - mi - mj
+    return 2 * d - mi - mj - mk
+
+
 def quadratic_transform(a: NumericalClass, i: int, j: int, k: int) -> NumericalClass:
     """Apply the quadratic transformation centred at points i, j, k (1-based).
 
@@ -63,20 +72,9 @@ def quadratic_transform(a: NumericalClass, i: int, j: int, k: int) -> NumericalC
     for t in (i, j, k):
         if not 1 <= t <= 9:
             raise ValueError(f"point indices must be in 1..9, got {t}")
-    d = a.d
-    mi, mj, mk = a.m[i - 1], a.m[j - 1], a.m[k - 1]
     m = list(a.m)
-    m[i - 1] = d - mj - mk
-    m[j - 1] = d - mi - mk
-    m[k - 1] = d - mi - mj
-    return NumericalClass(2 * d - mi - mj - mk, tuple(m))
-
-
-def _top_three(a: NumericalClass) -> tuple[int, int, int]:
-    # Largest multiplicities first; ties broken towards lower point index.
-    order = sorted(range(9), key=lambda t: (-a.m[t], t))[:3]
-    i, j, k = sorted(t + 1 for t in order)
-    return i, j, k
+    d = _transform(a.d, m, i - 1, j - 1, k - 1)
+    return NumericalClass(d, m)
 
 
 def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> ReductionCertificate:
@@ -92,18 +90,21 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
 
     chain: list[CremonaStep] = []
     current = a
+    d, m = a.d, list(a.m)
     for _ in range(max_steps):
-        if current.d == 1:
+        if d == 1:
             return ReductionCertificate(tuple(chain), current, True)
-        indices = _top_three(current)
-        drop = sum(current.m[t - 1] for t in indices)
-        if drop <= current.d:
+        # largest multiplicities first; the stable sort keeps ties towards
+        # lower indices even with reverse=True
+        i, j, k = sorted(sorted(range(9), key=m.__getitem__, reverse=True)[:3])
+        if m[i] + m[j] + m[k] <= d:
             # Degree would not strictly decrease; the greedy strategy is stuck.
             return ReductionCertificate(tuple(chain), current, False)
-        nxt = quadratic_transform(current, *indices)
-        chain.append(CremonaStep(indices, current, nxt))
+        d = _transform(d, m, i, j, k)
+        nxt = NumericalClass(d, m)
+        chain.append(CremonaStep((i + 1, j + 1, k + 1), current, nxt))
         current = nxt
-    return ReductionCertificate(tuple(chain), current, current.d == 1)
+    return ReductionCertificate(tuple(chain), current, d == 1)
 
 
 def is_connected_class(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> bool:

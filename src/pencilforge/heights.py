@@ -35,7 +35,7 @@ from math import isqrt
 from typing import Sequence
 
 from .base_change import KodairaFibre
-from .picard_lattice import NumericalClass, intersect, weighted_vectors
+from .picard_lattice import NumericalClass, intersect, strict_fields, strict_int, weighted_vectors
 
 def dynkin_type(symbol: str) -> tuple[str, int]:
     """Dynkin letter and rank attached to a Kodaira symbol.
@@ -152,7 +152,10 @@ class SectionIntersections:
     components: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple((int(a), int(b)) for a, b in self.components))
+        strict_fields(self, "p_zero", "q_zero", "p_q")
+        object.__setattr__(self, "components", tuple(
+            (strict_int(a, "component index"), strict_int(b, "component index"))
+            for a, b in self.components))
 
 
 def height_pairing(data: SectionIntersections, chi: int,
@@ -191,7 +194,7 @@ def enumerate_section_classes(
         for m in weighted_vectors((1,) * 9, square_sum, 3 * d - 1, -bound, bound):
             found.append(NumericalClass(d, m))
     if constraints:
-        pinned = [(cls, int(value)) for cls, value in constraints]
+        pinned = [(cls, strict_int(value, "constraint value")) for cls, value in constraints]
         found = [c for c in found if all(intersect(c, cls) == value for cls, value in pinned)]
     return found
 
@@ -218,7 +221,7 @@ class KummerInputs:
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h", int(self.h))
+        strict_fields(self, "h")
         for name in ("f1", "c_e", "alpha"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.h < 1:

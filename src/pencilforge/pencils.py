@@ -27,6 +27,8 @@ from .picard_lattice import (
     degree_to_base,
     intersect,
     riemann_roch,
+    strict_fields,
+    strict_int,
     weighted_vectors,
 )
 
@@ -69,7 +71,8 @@ class OrbitStructure:
     rational_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(strict_int(s, "orbit size") for s in self.sizes))
+        strict_fields(self, "rational_index")
         if not self.sizes:
             raise ValueError("orbit structure needs at least one orbit")
         if any(s < 1 for s in self.sizes):
@@ -103,7 +106,8 @@ class PencilSpec:
 
     def __post_init__(self) -> None:
         degree = model_degree(self.model)
-        object.__setattr__(self, "mults", tuple(int(x) for x in self.mults))
+        strict_fields(self, "level", "extra_conditions")
+        object.__setattr__(self, "mults", tuple(strict_int(x, "multiplicity") for x in self.mults))
         if self.level < 1:
             raise ValueError(f"level must be at least 1, got {self.level}")
         if any(x < 0 for x in self.mults):
@@ -127,11 +131,12 @@ class PencilSpec:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PencilSpec":
+        # the constructor checks every integer strictly
         return cls(
             payload["model"],
-            int(payload["level"]),
+            payload["level"],
             tuple(payload["mults"]),
-            int(payload.get("extra_conditions", 0)),
+            payload.get("extra_conditions", 0),
         )
 
 
@@ -360,7 +365,7 @@ def _tangent_conics(
         raise ValueError(
             "a plane configuration with a single two-point orbit needs cubic_pattern, "
             "one of (1,4,4), (3,3,3), (5,2,2), (7,1,1)")
-    pattern = tuple(int(x) for x in cubic_pattern)
+    pattern = tuple(strict_int(x, "cubic_pattern entry") for x in cubic_pattern)
     if pattern not in _CUBIC_PATTERNS:
         raise ValueError(f"cubic_pattern must be one of {sorted(_CUBIC_PATTERNS)}, got {pattern}")
     pts = orbits.point_range(two_orbit)

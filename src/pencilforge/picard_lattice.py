@@ -16,22 +16,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from operator import index, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
+def strict_int(value: object, name: str) -> int:
+    """`value` as an exact int: `operator.index`, with bool rejected too.
+
+    Used at the input boundaries so that 2.7, "2" or true never stand in for
+    an integer; raises TypeError naming the offending input.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def strict_fields(obj: object, *names: str) -> None:
+    """Apply `strict_int` to the named fields of a frozen dataclass in its
+    `__post_init__`; only values it converts are stored again."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            object.__setattr__(obj, name, strict_int(value, name))
+
+
+@dataclass(frozen=True, init=False)
 class NumericalClass:
     """A divisor class (d; m1, ..., m9) in the blow-up basis."""
 
     d: int
     m: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        # operator.index keeps the lattice exact: true integers only
-        object.__setattr__(self, "m", tuple(map(index, self.m)))
-        object.__setattr__(self, "d", index(self.d))
-        if len(self.m) != 9:
-            raise ValueError(f"multiplicity vector must have length 9, got {len(self.m)}")
+    def __init__(self, d: int, m: Iterable[int]) -> None:
+        # operator.index keeps the lattice exact: true integers only.  Each
+        # field is set once; this runs on every Cremona step
+        m = tuple(map(index, m))
+        d = index(d)
+        if len(m) != 9:
+            raise ValueError(f"multiplicity vector must have length 9, got {len(m)}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def from_list(cls, coords: Sequence[int]) -> "NumericalClass":
@@ -108,35 +136,41 @@ def riemann_roch(a: NumericalClass) -> int:
 
 
 def weighted_vectors(weights: Sequence[int], square_sum: int, linear_sum: int,
-                     lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Integer vectors x with lo <= x_i <= hi, sum w_i x_i^2 == square_sum and
-    sum w_i x_i == linear_sum, in ascending lex order.
+                     lo: int, hi: int) -> list[tuple[int, ...]]:
+    """The list of integer vectors x with lo <= x_i <= hi,
+    sum w_i x_i^2 == square_sum and sum w_i x_i == linear_sum, in ascending
+    lex order.
 
     The weights are positive, e.g. the sizes of Galois orbits carrying one
     multiplicity each.  Each suffix is cut by weighted Cauchy-Schwarz,
     (sum w x)^2 <= (sum w)(sum w x^2), and its last entry is solved for.
+    The search fills one shared prefix and copies it out at each solution.
     """
     last = len(weights) - 1
     suffix = [sum(weights[i:]) for i in range(last + 1)]
+    prefix = [0] * len(weights)
+    found: list[tuple[int, ...]] = []
 
-    def extend(i: int, squares: int, linear: int) -> Iterator[tuple[int, ...]]:
+    def extend(i: int, squares: int, linear: int) -> None:
         w = weights[i]
         if i == last:
             x, rest = divmod(linear, w)
             if not rest and lo <= x <= hi and w * x * x == squares:
-                yield (x,)
+                prefix[i] = x
+                found.append(tuple(prefix))
             return
         if linear * linear > squares * suffix[i]:
             return
         r = isqrt(squares // w)
         for x in range(max(lo, -r), min(hi, r) + 1):
-            for tail in extend(i + 1, squares - w * x * x, linear - w * x):
-                yield (x, *tail)
+            prefix[i] = x
+            extend(i + 1, squares - w * x * x, linear - w * x)
 
     if weights:
-        yield from extend(0, square_sum, linear_sum)
+        extend(0, square_sum, linear_sum)
     elif square_sum == linear_sum == 0:
-        yield ()
+        found.append(())
+    return found
 
 
 def mw_rank_bound(s: int) -> int:

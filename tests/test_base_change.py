@@ -121,6 +121,9 @@ def test_configuration_validation_and_serialization():
         FibreConfiguration((("v0", "I1"), ("v0", "I2")))
     with pytest.raises(ValueError):
         BranchLocus("v0", "v0")
+    for count in (2.0, True, "2"):
+        with pytest.raises(TypeError):
+            FibreConfiguration.from_counts({"I0*": 1, "I1": count})
 
 
 # symbols by Euler number, hand-listed, for the exhaustive sweep

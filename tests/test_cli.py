@@ -168,6 +168,26 @@ def test_domain_violation_exits_three(capsys):
     assert "Euler total 12" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["pencil", "verify", "--spec", '{"model": "plane", "level": 2.7, "mults": [true, 1.9]}'],
+    ["pencil", "verify", "--spec", '{"model": "plane", "level": 2, "mults": [1], "extra_conditions": 0.5}'],
+    ["class", "--class", "[1, true, 0, 0, 0, 0, 0, 0, 0, 0]"],
+    ["class", "--class", "[1.0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"],
+    ["cremona", "--class", "[false, 0, 0, 0, 0, 0, 0, 0, 0, 0]"],
+    ["height", "pair", "--data", '{"PO": true, "QO": 1.5, "PQ": 0}'],
+    ["height", "pair", "--data", '{"PO": 0, "QO": 0, "PQ": -1, "components": [[1, 1.0]]}', "--fibres", '["I2"]'],
+    ["pencil", "search", "--model", "plane", "--orbits", '{"orbit_sizes": [1, 2.0]}', "--n-max", "2"],
+    ["pencil", "construct", "--model", "plane", "--orbits", '{"orbit_sizes": [1, 4], "rational_orbit_index": false}'],
+    ["sections", "enumerate", "--constraints", '[[[0, 0, 0, 0, 0, 0, 0, 0, 0, true], 0]]'],
+    ["sections", "enumerate", "--constraints", '[[[0, 0, 0, 0, 0, 0, 0, 0, 0, -1], 0.5]]'],
+    ["basechange", "classify", "--config", '{"I0*": 1, "I1": 6.0}', "--branch", "v0,v1"],
+])
+def test_non_integers_and_booleans_exit_two(capsys, argv):
+    code, payload = run(capsys, *argv)
+    assert code == 2
+    assert payload["ok"] is False and "must be an integer" in payload["error"]["message"]
+
+
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "class.json"
     path.write_text("[6,2,2,2,2,4,1,1,1,1]")

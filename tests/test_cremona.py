@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilforge.cremona import (
     is_connected_class,
@@ -151,3 +153,71 @@ def test_divergent_class_terminates_by_budget():
     # plummets without passing through one; either way the reducer halts
     cert = reduce_to_line(NumericalClass(2, (2, 2, 2, 0, 0, 0, 0, 0, 0)))
     assert not cert.success
+
+
+# ---------------------------------------------------------------------------
+# the greedy loop as first written, kept as a reference for the reducer
+
+def _top_three(m):
+    # largest multiplicities first; ties broken towards lower point index
+    order = sorted(range(9), key=lambda t: (-m[t], t))[:3]
+    return tuple(sorted(t + 1 for t in order))
+
+
+def reference_reduce(a, max_steps):
+    chain = []
+    current = a
+    for _ in range(max_steps):
+        if current.d == 1:
+            return chain, current, True
+        indices = _top_three(current.m)
+        if sum(current.m[t - 1] for t in indices) <= current.d:
+            return chain, current, False
+        nxt = quadratic_transform(current, *indices)
+        chain.append((indices, current, nxt))
+        current = nxt
+    return chain, current, current.d == 1
+
+
+@st.composite
+def tied_classes(draw):
+    # entries drawn from a pool of at most four values: many ties, and
+    # negative entries as often as not
+    pool = draw(st.lists(st.integers(-5, 15), min_size=1, max_size=4))
+    m = draw(st.lists(st.sampled_from(pool), min_size=9, max_size=9))
+    return NumericalClass(draw(st.integers(-5, 30)), m)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tied_classes(), st.integers(0, 70))
+def test_reduce_matches_the_reference_reducer(a, max_steps):
+    cert = reduce_to_line(a, max_steps)
+    chain, terminal, success = reference_reduce(a, max_steps)
+    assert [(s.indices, s.before, s.after) for s in cert.chain] == chain
+    assert cert.terminal == terminal
+    assert cert.success is success
+    # the chain replays: ascending centres, linked steps, falling degree
+    current = a
+    for step in cert.chain:
+        i, j, k = step.indices
+        assert 1 <= i < j < k <= 9
+        assert step.before == current
+        assert step.after == quadratic_transform(step.before, i, j, k)
+        assert type(step.after.m) is tuple
+        assert step.after.d < step.before.d
+        current = step.after
+    assert cert.terminal == current
+
+
+def test_reduction_builds_one_class_per_step(monkeypatch):
+    built = []
+    original = NumericalClass.__init__
+
+    def counting(self, d, m):
+        built.append(d)
+        original(self, d, m)
+
+    monkeypatch.setattr(NumericalClass, "__init__", counting)
+    cert = reduce_to_line(GOLDEN_START)
+    assert cert.success
+    assert len(built) == len(cert.chain) == len(GOLDEN_CHAIN)

@@ -193,6 +193,17 @@ def test_height_pairing_validates_inputs():
         height_pairing(SectionIntersections(0, 0, -1, ((1, 1),)), chi=1, fibres=[])
 
 
+def test_section_data_and_constraints_take_exact_integers_only():
+    for args in ((True, 1.5, 0), (0, 0, 1.0), (0, 0, -1, ((1, True),)), (0, 0, -1, ((1, 1.5),))):
+        with pytest.raises(TypeError):
+            SectionIntersections(*args)
+    assert SectionIntersections(0, 1, 0, [[1, 1]]).components == ((1, 1),)
+    with pytest.raises(TypeError):
+        enumerate_section_classes([(exceptional(1), 0.5)], d_max=1)
+    with pytest.raises(TypeError):
+        enumerate_section_classes([(exceptional(1), True)], d_max=1)
+
+
 def test_enumerate_exceptional_classes_only_at_d_zero():
     classes = enumerate_section_classes(d_max=0)
     assert classes == [exceptional(j) for j in range(1, 10)]
@@ -282,5 +293,8 @@ def test_kummer_inputs_validation():
         KummerInputs(1, 0, 1, 1)
     with pytest.raises(ValueError):
         KummerInputs(1, 1, 1, Fraction(-1, 2))
+    for h in (2.5, True, "2"):
+        with pytest.raises(TypeError):
+            KummerInputs(h, 1, 1, 1)
     parsed = KummerInputs(2, "1/2", "3", 1)
     assert parsed.f1 == Fraction(1, 2) and parsed.c_e == 3

@@ -397,6 +397,33 @@ def test_verify_rejects_a_non_integer_level():
         verify(PencilSpec("plane", 2.5, (1,)))
 
 
+def test_spec_and_orbits_take_exact_integers_only():
+    for level, mults, extra in ((2.5, (1,), 0), (2, (1.9,), 0), (2, (True,), 0),
+                                (True, (1,), 0), (2, (1,), 0.5), (2, (1,), False)):
+        with pytest.raises(TypeError):
+            PencilSpec("plane", level, mults, extra)
+    with pytest.raises(TypeError):
+        PencilSpec.from_json({"model": "plane", "level": 2.7, "mults": [True, 1.9]})
+    with pytest.raises(TypeError):
+        PencilSpec.from_json({"model": "plane", "level": "2", "mults": [1]})
+    with pytest.raises(TypeError):
+        PencilSpec.from_json({"model": "plane", "level": 2, "mults": [1], "extra_conditions": 1.0})
+    assert PencilSpec.from_json({"model": "plane", "level": 2, "mults": [1]}) == PencilSpec("plane", 2, (1,))
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    # an exact integer type other than int is stored as the int it stands for
+    converted = PencilSpec("plane", Two(), (Two(),), Two())
+    assert (type(converted.level), converted.level, converted.mults, converted.extra_conditions) == (int, 2, (2,), 2)
+    for sizes, rational in (((1, 2.0), 0), ((True, 2), 0), ((1, 2), False), ((1, 2), 0.0)):
+        with pytest.raises(TypeError):
+            OrbitStructure(sizes, rational)
+    with pytest.raises(TypeError):
+        construct_pencils("plane", OrbitStructure((1, 2)), cubic_pattern=(1.0, 4, 4))
+
+
 def test_search_contains_the_constructed_dp4_pair():
     found = search_pencils("dp4", OrbitStructure((1, 3)), n_max=7)
     assert spec("dp4", 1, (2, 0, 0, 0)) in found

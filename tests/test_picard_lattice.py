@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from pencilforge.picard_lattice import (
     intersect,
     mw_rank_bound,
     riemann_roch,
+    strict_int,
     unirationality_check,
     weighted_vectors,
 )
@@ -159,5 +162,58 @@ def test_weighted_vectors_match_brute_force(weights, lo, hi):
 
 
 def test_weighted_vectors_of_no_weights():
-    assert list(weighted_vectors((), 0, 0, 0, 1)) == [()]
-    assert list(weighted_vectors((), 1, 0, 0, 1)) == []
+    assert weighted_vectors((), 0, 0, 0, 1) == [()]
+    assert weighted_vectors((), 1, 0, 0, 1) == []
+
+
+GOLDEN = NumericalClass(6, (2, 2, 2, 2, 4, 1, 1, 1, 1))
+
+
+def test_numerical_class_rejects_non_integers_and_wrong_lengths():
+    with pytest.raises(TypeError):
+        NumericalClass(1.0, (0,) * 9)
+    with pytest.raises(TypeError):
+        NumericalClass(1, (0,) * 8 + (0.5,))
+    # entries and degree are checked before the length
+    with pytest.raises(TypeError):
+        NumericalClass(1, (0.5,) * 8)
+    with pytest.raises(TypeError):
+        NumericalClass(1.5, (0,) * 8)
+    for m in ((), (0,) * 8, (0,) * 10):
+        with pytest.raises(ValueError):
+            NumericalClass(1, m)
+
+
+def test_numerical_class_accepts_any_iterable_and_keywords():
+    m = GOLDEN.m
+    for built in (NumericalClass(6, list(m)), NumericalClass(6, tuple(m)),
+                  NumericalClass(6, (x for x in m)), NumericalClass(d=6, m=m),
+                  NumericalClass(m=list(m), d=6)):
+        assert built == GOLDEN
+        assert type(built.m) is tuple
+
+
+def test_numerical_class_value_semantics():
+    same = NumericalClass(6, [2, 2, 2, 2, 4, 1, 1, 1, 1])
+    assert same == GOLDEN and hash(same) == hash(GOLDEN)
+    assert hash(GOLDEN) == hash((6, (2, 2, 2, 2, 4, 1, 1, 1, 1)))
+    assert GOLDEN != NumericalClass(7, GOLDEN.m)
+    assert GOLDEN != (6, GOLDEN.m)
+    assert repr(GOLDEN) == "(6; 2, 2, 2, 2, 4, 1, 1, 1, 1)"
+    assert [f.name for f in dataclasses.fields(NumericalClass)] == ["d", "m"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GOLDEN.d = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GOLDEN.m = (0,) * 9
+    moved = dataclasses.replace(GOLDEN, d=7)
+    assert moved == NumericalClass(7, GOLDEN.m)
+    assert dataclasses.replace(GOLDEN, m=[0] * 9).m == (0,) * 9
+    with pytest.raises(TypeError):
+        dataclasses.replace(GOLDEN, d=7.0)
+
+
+def test_strict_int_accepts_exact_integers_only():
+    assert strict_int(3, "x") == 3 and strict_int(-10 ** 30, "x") == -10 ** 30
+    for bad in (True, False, 2.0, 2.7, "2", None, Fraction(2)):
+        with pytest.raises(TypeError, match="level must be an integer"):
+            strict_int(bad, "level")
