@@ -6,114 +6,96 @@ nine points, quadratic Cremona reduction with replayable certificates,
 construction and search of genus-zero pencils mapping two-to-one onto the
 base, singular-fibre accounting under quadratic base change, and the
 Mordell-Weil height pairing with exact local corrections.
+
+Submodules load on first use: touching an exported name or a submodule
+imports that submodule and binds all of its exports here at once, so a
+command-line call pays only for the modules its subcommand needs.
 """
 
-from .base_change import (
-    BranchLocus,
-    FibreConfiguration,
-    FibreProductKind,
-    KodairaFibre,
-    SurfaceClass,
-    base_changed_configuration,
-    classify_quadratic_base_change,
-    euler_total,
-    fibre_product_genus,
-    transform_fibre,
-)
-from .cremona import (
-    CremonaStep,
-    ReductionCertificate,
-    is_connected_class,
-    quadratic_transform,
-    reduce_to_line,
-)
-from .heights import (
-    KummerInputs,
-    ReducibleFibreData,
-    SectionIntersections,
-    cartan_matrix,
-    contribution,
-    enumerate_section_classes,
-    height_pairing,
-    invert_exact,
-    kummer_bound,
-    multiplication_pullback_degree,
-)
-from .pencils import (
-    OrbitStructure,
-    PencilReport,
-    PencilSpec,
-    Unsupported,
-    construct_pencils,
-    degree_to_base_spec,
-    dim_lower_bound,
-    genus_upper_bound,
-    reduce_orbit_config,
-    search_pencils,
-    to_numerical_class,
-    verify,
-)
-from .picard_lattice import (
-    CANONICAL,
-    FIBRE,
-    LINE,
-    NumericalClass,
-    arithmetic_genus,
-    degree_to_base,
-    exceptional,
-    intersect,
-    mw_rank_bound,
-    unirationality_check,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchLocus",
-    "CANONICAL",
-    "CremonaStep",
-    "FIBRE",
-    "FibreConfiguration",
-    "FibreProductKind",
-    "KodairaFibre",
-    "KummerInputs",
-    "LINE",
-    "NumericalClass",
-    "OrbitStructure",
-    "PencilReport",
-    "PencilSpec",
-    "ReducibleFibreData",
-    "ReductionCertificate",
-    "SectionIntersections",
-    "SurfaceClass",
-    "Unsupported",
-    "arithmetic_genus",
-    "base_changed_configuration",
-    "cartan_matrix",
-    "classify_quadratic_base_change",
-    "construct_pencils",
-    "contribution",
-    "degree_to_base",
-    "degree_to_base_spec",
-    "dim_lower_bound",
-    "enumerate_section_classes",
-    "euler_total",
-    "exceptional",
-    "fibre_product_genus",
-    "genus_upper_bound",
-    "height_pairing",
-    "intersect",
-    "invert_exact",
-    "is_connected_class",
-    "kummer_bound",
-    "multiplication_pullback_degree",
-    "mw_rank_bound",
-    "quadratic_transform",
-    "reduce_orbit_config",
-    "reduce_to_line",
-    "search_pencils",
-    "to_numerical_class",
-    "transform_fibre",
-    "unirationality_check",
-    "verify",
-]
+# export name -> submodule that defines it
+_EXPORTS = {
+    "BranchLocus": "base_change",
+    "FibreConfiguration": "base_change",
+    "FibreProductKind": "base_change",
+    "KodairaFibre": "base_change",
+    "SurfaceClass": "base_change",
+    "base_changed_configuration": "base_change",
+    "classify_quadratic_base_change": "base_change",
+    "euler_total": "base_change",
+    "fibre_product_genus": "base_change",
+    "transform_fibre": "base_change",
+    "CremonaStep": "cremona",
+    "ReductionCertificate": "cremona",
+    "is_connected_class": "cremona",
+    "quadratic_transform": "cremona",
+    "reduce_to_line": "cremona",
+    "KummerInputs": "heights",
+    "ReducibleFibreData": "heights",
+    "SectionIntersections": "heights",
+    "cartan_matrix": "heights",
+    "contribution": "heights",
+    "enumerate_section_classes": "heights",
+    "height_pairing": "heights",
+    "invert_exact": "heights",
+    "kummer_bound": "heights",
+    "multiplication_pullback_degree": "heights",
+    "OrbitStructure": "pencils",
+    "PencilReport": "pencils",
+    "PencilSpec": "pencils",
+    "Unsupported": "pencils",
+    "construct_pencils": "pencils",
+    "degree_to_base_spec": "pencils",
+    "dim_lower_bound": "pencils",
+    "genus_upper_bound": "pencils",
+    "reduce_orbit_config": "pencils",
+    "search_pencils": "pencils",
+    "to_numerical_class": "pencils",
+    "verify": "pencils",
+    "CANONICAL": "picard_lattice",
+    "FIBRE": "picard_lattice",
+    "LINE": "picard_lattice",
+    "NumericalClass": "picard_lattice",
+    "arithmetic_genus": "picard_lattice",
+    "degree_to_base": "picard_lattice",
+    "exceptional": "picard_lattice",
+    "intersect": "picard_lattice",
+    "mw_rank_bound": "picard_lattice",
+    "unirationality_check": "picard_lattice",
+}
+# submodules whose exports are not bound yet
+_UNBOUND = set(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # PEP 562: runs only for names not yet in the module's globals.  It
+    # imports the submodule asked for, then binds at once the exports of
+    # every submodule loaded so far, its imports included.  Later lookups
+    # are plain dict hits, and each export stays the object its submodule
+    # held at that moment, whichever name was asked for.
+    submodule = _EXPORTS.get(name, name)
+    if submodule not in _UNBOUND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import_module(f"{__name__}.{submodule}")
+    namespace = globals()
+    # the import system binds each loaded submodule as an attribute here
+    for loaded in [m for m in _UNBOUND if m in namespace]:
+        for export, owner in _EXPORTS.items():
+            if owner == loaded:
+                namespace[export] = getattr(namespace[loaded], export)
+        _UNBOUND.discard(loaded)
+    if not _UNBOUND:
+        # CPython does not specialize `pencilforge.X` loads while the module
+        # defines __getattr__ (about 25 ns more per lookup); with every
+        # export bound it has nothing left to do
+        namespace.pop("__getattr__", None)
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _EXPORTS.keys())

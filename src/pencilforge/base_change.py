@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .picard_lattice import strict_int
 

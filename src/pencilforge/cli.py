@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import base_change, cremona, heights, pencils
+# A cold call pays for every import, so pencils, heights, base_change and
+# fractions are imported inside the functions that use them; annotations
+# naming them are never evaluated (postponed annotations).
+from . import cremona
 from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect, strict_int
 
 
@@ -57,6 +59,8 @@ def _class_arg(value: str) -> NumericalClass:
 
 
 def _fraction_arg(value: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -64,6 +68,8 @@ def _fraction_arg(value: str) -> Fraction:
 
 
 def _orbits_arg(value: str) -> pencils.OrbitStructure:
+    from . import pencils
+
     payload = _json_arg(value)
     if not isinstance(payload, dict) or "orbit_sizes" not in payload:
         raise CliError(2, "orbits must be JSON like {\"orbit_sizes\": [...], \"rational_orbit_index\": 0}")
@@ -75,6 +81,8 @@ def _orbits_arg(value: str) -> pencils.OrbitStructure:
 
 
 def _config_arg(value: str) -> base_change.FibreConfiguration:
+    from . import base_change
+
     payload = _json_arg(value)
     if isinstance(payload, dict):
         return base_change.FibreConfiguration.from_counts(payload)
@@ -85,6 +93,8 @@ def _config_arg(value: str) -> base_change.FibreConfiguration:
 
 
 def _branch_arg(value: str) -> base_change.BranchLocus:
+    from . import base_change
+
     parts = [p.strip() for p in value.split(",") if p.strip()]
     if len(parts) != 2:
         raise CliError(2, f"--branch takes two comma-separated place ids, got {value!r}")
@@ -92,6 +102,8 @@ def _branch_arg(value: str) -> base_change.BranchLocus:
 
 
 def _spec_result(spec: pencils.PencilSpec) -> dict:
+    from . import pencils
+
     report = pencils.verify(spec)
     payload = spec.to_json()
     payload["report"] = {
@@ -123,6 +135,8 @@ def _cmd_cremona(args) -> dict:
 
 
 def _cmd_pencil_construct(args) -> dict:
+    from . import pencils
+
     orbits = _orbits_arg(args.orbits)
     pattern = None
     if args.cubic_pattern:
@@ -138,12 +152,16 @@ def _cmd_pencil_construct(args) -> dict:
 
 
 def _cmd_pencil_search(args) -> dict:
+    from . import pencils
+
     orbits = _orbits_arg(args.orbits)
     found = pencils.search_pencils(args.model, orbits, args.n_max)
     return {"count": len(found), "specs": [spec.to_json() for spec in found]}
 
 
 def _cmd_pencil_verify(args) -> dict:
+    from . import pencils
+
     payload = _json_arg(args.spec)
     try:
         spec = pencils.PencilSpec.from_json(payload)
@@ -153,18 +171,24 @@ def _cmd_pencil_verify(args) -> dict:
 
 
 def _cmd_basechange_classify(args) -> str:
+    from . import base_change
+
     config = _config_arg(args.config)
     branch = _branch_arg(args.branch)
     return base_change.classify_quadratic_base_change(config, branch).value
 
 
 def _cmd_basechange_transform(args) -> dict:
+    from . import base_change
+
     fibre = base_change.KodairaFibre(args.type)
     images = base_change.transform_fibre(fibre, args.ramified)
     return {"fibres": [f.symbol for f in images], "euler": sum(f.euler for f in images)}
 
 
 def _cmd_height_pair(args) -> str:
+    from . import heights
+
     payload = _json_arg(args.data)
     if not isinstance(payload, dict):
         raise CliError(2, "height data must be a JSON object")
@@ -185,10 +209,14 @@ def _cmd_height_pair(args) -> str:
 
 
 def _cmd_height_contrib(args) -> str:
+    from . import heights
+
     return str(heights.contribution(args.type, args.i, args.j))
 
 
 def _cmd_sections(args) -> dict:
+    from . import heights
+
     constraints = None
     if args.constraints:
         payload = _json_arg(args.constraints)
@@ -203,6 +231,8 @@ def _cmd_sections(args) -> dict:
 
 
 def _cmd_kummer(args) -> dict:
+    from . import heights
+
     inputs = heights.KummerInputs(args.h, args.f1, args.c_e, args.alpha)
     return {"n0": heights.kummer_bound(inputs)}
 

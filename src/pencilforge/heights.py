@@ -28,11 +28,11 @@ All values are exact rationals.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Sequence
 
 from .base_change import KodairaFibre
 from .picard_lattice import NumericalClass, intersect, strict_fields, strict_int, weighted_vectors
@@ -165,6 +165,7 @@ def height_pairing(data: SectionIntersections, chi: int,
     `fibres` lists the reducible fibres; `data.components` must supply one
     (i, j) pair per entry.
     """
+    chi = strict_int(chi, "chi")
     if chi < 1:
         raise ValueError(f"Euler characteristic chi must be positive, got {chi}")
     if len(data.components) != len(fibres):
@@ -187,14 +188,14 @@ def enumerate_section_classes(
     """
     if d_max < 0:
         raise ValueError(f"d_max must be non-negative, got {d_max}")
+    pinned = [(cls, strict_int(value, "constraint value")) for cls, value in constraints or ()]
     found: list[NumericalClass] = []
     for d in range(-d_max, d_max + 1):
         square_sum = d * d + 1
         bound = isqrt(square_sum)
         for m in weighted_vectors((1,) * 9, square_sum, 3 * d - 1, -bound, bound):
             found.append(NumericalClass(d, m))
-    if constraints:
-        pinned = [(cls, strict_int(value, "constraint value")) for cls, value in constraints]
+    if pinned:
         found = [c for c in found if all(intersect(c, cls) == value for cls, value in pinned)]
     return found
 
@@ -213,6 +214,7 @@ class KummerInputs:
     `h` is the degree of the curve over the base, `f1` the Kummer constant
     (h >= f1 * m bounds the division index m), and `c_e`, `alpha` the torsion
     degree-growth constants (c_e * m1^alpha <= h bounds the torsion order m1).
+    The three constants are exact: an int or a Fraction, stored as a Fraction.
     """
 
     h: int
@@ -223,7 +225,12 @@ class KummerInputs:
     def __post_init__(self) -> None:
         strict_fields(self, "h")
         for name in ("f1", "c_e", "alpha"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            # exact inputs only: Fraction(0.1) is 3602879701896397/2**55, not 1/10
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
+                object.__setattr__(self, name, Fraction(value))
         if self.h < 1:
             raise ValueError(f"curve degree h must be positive, got {self.h}")
         for name in ("f1", "c_e", "alpha"):

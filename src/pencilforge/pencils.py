@@ -18,8 +18,8 @@ Galois orbit, with multiplicities capped at n_max + 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .picard_lattice import (
     NumericalClass,

@@ -13,10 +13,10 @@ this convention, while the exceptional class E_j itself is (0; ..., m_j=-1,
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import isqrt
 from operator import index, mul
-from typing import Iterable, Sequence
 
 
 def strict_int(value: object, name: str) -> int:

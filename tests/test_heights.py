@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pencilforge import heights
 from pencilforge.heights import (
     KummerInputs,
     ReducibleFibreData,
@@ -193,6 +194,23 @@ def test_height_pairing_validates_inputs():
         height_pairing(SectionIntersections(0, 0, -1, ((1, 1),)), chi=1, fibres=[])
 
 
+@pytest.mark.parametrize("chi", [1.5, True, Fraction(1), "1"])
+def test_height_pairing_takes_an_integer_chi_only(chi):
+    # chi=1.5 used to give 5/2 and chi=True gave 2
+    with pytest.raises(TypeError):
+        height_pairing(SectionIntersections(0, 0, -1), chi=chi)
+
+
+def test_constraint_values_are_checked_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before checking the constraints")
+
+    monkeypatch.setattr(heights, "weighted_vectors", no_enumeration)
+    for value in (0.5, True, "1"):
+        with pytest.raises(TypeError):
+            heights.enumerate_section_classes([(exceptional(1), value)], d_max=10)
+
+
 def test_section_data_and_constraints_take_exact_integers_only():
     for args in ((True, 1.5, 0), (0, 0, 1.0), (0, 0, -1, ((1, True),)), (0, 0, -1, ((1, 1.5),))):
         with pytest.raises(TypeError):
@@ -296,5 +314,16 @@ def test_kummer_inputs_validation():
     for h in (2.5, True, "2"):
         with pytest.raises(TypeError):
             KummerInputs(h, 1, 1, 1)
-    parsed = KummerInputs(2, "1/2", "3", 1)
+    parsed = KummerInputs(2, Fraction(1, 2), 3, 1)
     assert parsed.f1 == Fraction(1, 2) and parsed.c_e == 3
+    assert type(parsed.c_e) is Fraction and type(parsed.alpha) is Fraction
+
+
+@pytest.mark.parametrize("field", [1, 2, 3])
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", True, None])
+def test_kummer_constants_take_int_or_fraction_only(field, bad):
+    # 0.1 used to become 3602879701896397/36028797018963968
+    args = [2, 1, 1, 1]
+    args[field] = bad
+    with pytest.raises(TypeError):
+        KummerInputs(*args)

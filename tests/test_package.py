@@ -1,0 +1,109 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pencilforge
+
+SRC = Path(pencilforge.__file__).resolve().parents[1]
+
+PUBLIC_API = [
+    "BranchLocus", "CANONICAL", "CremonaStep", "FIBRE", "FibreConfiguration", "FibreProductKind",
+    "KodairaFibre", "KummerInputs", "LINE", "NumericalClass", "OrbitStructure", "PencilReport",
+    "PencilSpec", "ReducibleFibreData", "ReductionCertificate", "SectionIntersections",
+    "SurfaceClass", "Unsupported", "arithmetic_genus", "base_changed_configuration",
+    "cartan_matrix", "classify_quadratic_base_change", "construct_pencils", "contribution",
+    "degree_to_base", "degree_to_base_spec", "dim_lower_bound", "enumerate_section_classes",
+    "euler_total", "exceptional", "fibre_product_genus", "genus_upper_bound", "height_pairing",
+    "intersect", "invert_exact", "is_connected_class", "kummer_bound",
+    "multiplication_pullback_degree", "mw_rank_bound", "quadratic_transform",
+    "reduce_orbit_config", "reduce_to_line", "search_pencils", "to_numerical_class",
+    "transform_fibre", "unirationality_check", "verify",
+]
+
+
+def run_fresh(code):
+    """Run `code` in a new `python -S` interpreter that sees only this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_public_api_is_unchanged():
+    assert len(PUBLIC_API) == 47
+    assert pencilforge.__all__ == PUBLIC_API
+
+
+def test_each_export_is_its_submodules_object():
+    for name in pencilforge.__all__:
+        owner = importlib.import_module(f"pencilforge.{pencilforge._EXPORTS[name]}")
+        assert getattr(pencilforge, name) is getattr(owner, name), name
+    # with every export bound the hook is gone, so that CPython specializes
+    # `pencilforge.X` loads again
+    assert "__getattr__" not in vars(pencilforge)
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from pencilforge import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_API
+    assert set(PUBLIC_API) <= set(dir(pencilforge))
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "cli_main", "_EXPORTS_", "__wrapped__"):
+        with pytest.raises(AttributeError):
+            getattr(pencilforge, name)
+    with pytest.raises(ImportError):
+        exec("from pencilforge import no_such_name", {})
+
+
+def test_submodules_load_on_first_touch():
+    code = (
+        "import sys, pencilforge\n"
+        "assert 'pencilforge.heights' not in sys.modules\n"
+        "print(pencilforge.heights.kummer_bound is pencilforge.kummer_bound)\n"
+        "print(pencilforge.__version__)\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "0.1.0"]
+
+
+def test_cli_import_loads_only_its_own_modules():
+    code = (
+        "import sys\n"
+        "import pencilforge.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pencilforge')))\n"
+        "print('typing' in sys.modules, 'fractions' in sys.modules)\n"
+        "pencilforge.cli.main(['class', '--class', '[1,1,0,0,0,0,0,0,0,0]'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pencilforge')))\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    loaded, stdlib, envelope, after_class = done.stdout.splitlines()
+    own = "['pencilforge', 'pencilforge.cli', 'pencilforge.cremona', 'pencilforge.picard_lattice']"
+    assert loaded == own
+    assert stdlib == "False False"
+    assert envelope == '{"ok": true, "result": {"genus": 0, "degree_to_base": 2, "self_int": 0}}'
+    assert after_class == own
+
+
+def test_submodule_import_binds_its_exports_first():
+    # the name bound in the package must be the submodule's object at the
+    # moment of the first touch, even if the submodule rebinds it later
+    code = (
+        "import pencilforge\n"
+        "from pencilforge import pencils\n"
+        "original = pencils.search_pencils\n"
+        "pencils.search_pencils = None\n"
+        "print(pencilforge.search_pencils is original)\n"
+        "pencils.search_pencils = original\n"
+        "print(pencilforge.search_pencils is pencils.search_pencils)\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
