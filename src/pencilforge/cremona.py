@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .picard_lattice import NumericalClass
+from .picard_lattice import NumericalClass, strict_int
 
 DEFAULT_MAX_STEPS = 64
+
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,15 @@ def _transform(d: int, m: list[int], i: int, j: int, k: int) -> int:
     return 2 * d - mi - mj - mk
 
 
+def _exact(a: NumericalClass) -> tuple[int, list[int]]:
+    # the degree and multiplicities of a class as exact ints: a
+    # NumericalClass holds them already, any other object with `d` and `m`
+    # goes through the checked constructor once
+    if type(a) is not NumericalClass:
+        a = NumericalClass(a.d, a.m)
+    return a.d, list(a.m)
+
+
 def quadratic_transform(a: NumericalClass, i: int, j: int, k: int) -> NumericalClass:
     """Apply the quadratic transformation centred at points i, j, k (1-based).
 
@@ -67,14 +79,15 @@ def quadratic_transform(a: NumericalClass, i: int, j: int, k: int) -> NumericalC
     becomes d minus the other two; remaining entries are untouched.  The map
     is an involution and preserves all intersection numbers.
     """
+    i, j, k = strict_int(i, "point index"), strict_int(j, "point index"), strict_int(k, "point index")
     if len({i, j, k}) != 3:
         raise ValueError(f"Cremona centre needs three distinct indices, got {(i, j, k)}")
     for t in (i, j, k):
         if not 1 <= t <= 9:
             raise ValueError(f"point indices must be in 1..9, got {t}")
-    m = list(a.m)
-    d = _transform(a.d, m, i - 1, j - 1, k - 1)
-    return NumericalClass(d, m)
+    d, m = _exact(a)
+    d = _transform(d, m, i - 1, j - 1, k - 1)
+    return NumericalClass._of(d, tuple(m))
 
 
 def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> ReductionCertificate:
@@ -84,27 +97,47 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
     indices) while that strictly decreases the degree d.  Succeeds when a
     class with d == 1 is reached; fails when d stops decreasing first or the
     step budget runs out.
+
+    The input is checked once, at entry: a NumericalClass holds exact ints
+    already, and any other object with `d` and `m` goes through the checked
+    constructor.  The classes, steps and certificate derived from it are not
+    checked again.  Each step builds its class and its `CremonaStep`, so the
+    certificate is complete when the call returns.
     """
+    max_steps = strict_int(max_steps, "max_steps")
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    d, m = _exact(a)
 
     chain: list[CremonaStep] = []
     current = a
-    d, m = a.d, list(a.m)
     for _ in range(max_steps):
         if d == 1:
-            return ReductionCertificate(tuple(chain), current, True)
+            return _certificate(chain, current, True)
         # largest multiplicities first; the stable sort keeps ties towards
         # lower indices even with reverse=True
         i, j, k = sorted(sorted(range(9), key=m.__getitem__, reverse=True)[:3])
         if m[i] + m[j] + m[k] <= d:
             # Degree would not strictly decrease; the greedy strategy is stuck.
-            return ReductionCertificate(tuple(chain), current, False)
+            return _certificate(chain, current, False)
         d = _transform(d, m, i, j, k)
-        nxt = NumericalClass(d, m)
-        chain.append(CremonaStep((i + 1, j + 1, k + 1), current, nxt))
+        nxt = NumericalClass._of(d, tuple(m))
+        step = _new(CremonaStep)
+        _setattr(step, "indices", (i + 1, j + 1, k + 1))
+        _setattr(step, "before", current)
+        _setattr(step, "after", nxt)
+        chain.append(step)
         current = nxt
-    return ReductionCertificate(tuple(chain), current, d == 1)
+    return _certificate(chain, current, d == 1)
+
+
+def _certificate(chain: list[CremonaStep], terminal: NumericalClass, success: bool) -> ReductionCertificate:
+    # the fields are built by reduce_to_line: no generated __init__ needed
+    cert = _new(ReductionCertificate)
+    _setattr(cert, "chain", tuple(chain))
+    _setattr(cert, "terminal", terminal)
+    _setattr(cert, "success", success)
+    return cert
 
 
 def is_connected_class(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> bool:

@@ -184,8 +184,10 @@ def enumerate_section_classes(
     A class (d; m) is a section class iff sum m_i^2 = d^2 + 1 and
     sum m_i = 3d - 1; its arithmetic genus is then automatically zero.
     Optional constraints are pairs (class, value) filtering on prescribed
-    intersection numbers.
+    intersection numbers.  `d_max` and the values are checked as exact ints;
+    the classes are built from enumerator ints without a second check.
     """
+    d_max = strict_int(d_max, "d_max")
     if d_max < 0:
         raise ValueError(f"d_max must be non-negative, got {d_max}")
     pinned = [(cls, strict_int(value, "constraint value")) for cls, value in constraints or ()]
@@ -194,7 +196,7 @@ def enumerate_section_classes(
         square_sum = d * d + 1
         bound = isqrt(square_sum)
         for m in weighted_vectors((1,) * 9, square_sum, 3 * d - 1, -bound, bound):
-            found.append(NumericalClass(d, m))
+            found.append(NumericalClass._of(d, m))
     if pinned:
         found = [c for c in found if all(intersect(c, cls) == value for cls, value in pinned)]
     return found

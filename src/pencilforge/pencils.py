@@ -34,6 +34,9 @@ from .picard_lattice import (
 
 PLANE = "plane"
 
+_new = object.__new__
+_setattr = object.__setattr__
+
 _CUBIC_PATTERNS = {(1, 4, 4), (3, 3, 3), (5, 2, 2), (7, 1, 1)}
 
 # level and (rational-point, other-point) multiplicities of the standard
@@ -403,7 +406,12 @@ def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[Penci
     degree_to_base_spec == 2.  With c.F = 2 the dimension bound exceeds the
     genus bound by exactly 2, so these are the lattice classes c with
     c.c = 0 and c.F = 2.  Output is sorted by (level, mults).
+
+    `n_max` is checked as an exact int; the results are built from checked
+    values (the model and point count by each level's zero-multiplicity
+    spec, levels from a range, enumerator ints) and are not checked again.
     """
+    n_max = strict_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     sizes = orbits.sizes
@@ -417,6 +425,10 @@ def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[Penci
         square_sum = intersect(c0, c0)
         linear_sum = degree_to_base(c0) - 2
         for per_orbit in weighted_vectors(sizes, square_sum, linear_sum, 0, n_max + 1):
-            mults = tuple(x for x, size in zip(per_orbit, sizes) for _ in range(size))
-            results.append(PencilSpec(model, level, mults))
+            spec = _new(PencilSpec)
+            _setattr(spec, "model", model)
+            _setattr(spec, "level", level)
+            _setattr(spec, "mults", tuple(x for x, size in zip(per_orbit, sizes) for _ in range(size)))
+            _setattr(spec, "extra_conditions", 0)
+            results.append(spec)
     return results

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import index, mul
 
+_new = object.__new__
+_setattr = object.__setattr__
+
 
 def strict_int(value: object, name: str) -> int:
     """`value` as an exact int: `operator.index`, with bool rejected too.
@@ -62,6 +65,15 @@ class NumericalClass:
         object.__setattr__(self, "m", m)
 
     @classmethod
+    def _of(cls, d: int, m: tuple[int, ...]) -> "NumericalClass":
+        """A class from values the library derived from checked ints: an
+        exact int and a 9-tuple of exact ints, stored without re-checking."""
+        new = _new(cls)
+        _setattr(new, "d", d)
+        _setattr(new, "m", m)
+        return new
+
+    @classmethod
     def from_list(cls, coords: Sequence[int]) -> "NumericalClass":
         """Build a class from the 10-entry JSON form [d, m1, ..., m9]."""
         coords = list(coords)
@@ -91,6 +103,7 @@ class NumericalClass:
 
 def exceptional(j: int) -> NumericalClass:
     """The exceptional class E_j above the j-th point, 1-based."""
+    j = strict_int(j, "point index")
     if not 1 <= j <= 9:
         raise ValueError(f"point index must be in 1..9, got {j}")
     m = [0] * 9
@@ -143,33 +156,51 @@ def weighted_vectors(weights: Sequence[int], square_sum: int, linear_sum: int,
 
     The weights are positive, e.g. the sizes of Galois orbits carrying one
     multiplicity each.  Each suffix is cut by weighted Cauchy-Schwarz,
-    (sum w x)^2 <= (sum w)(sum w x^2), and its last entry is solved for.
-    The search fills one shared prefix and copies it out at each solution.
+    (sum w x)^2 <= (sum w)(sum w x^2).  The last two entries are solved in
+    closed form: with weights u, v and remaining sums S, L, the entry x is
+    an integer root of u(u+v)x^2 - 2uLx + L^2 - vS = 0, whose discriminant
+    4uv(S(u+v) - L^2) the cut keeps non-negative, and y = (L - ux)/v.  The
+    search fills one shared prefix and copies it out at each solution.
     """
+    if not weights:
+        return [()] if square_sum == linear_sum == 0 else []
+    if len(weights) == 1:
+        w = weights[0]
+        x, rest = divmod(linear_sum, w)
+        return [(x,)] if not rest and lo <= x <= hi and w * x * x == square_sum else []
     last = len(weights) - 1
-    suffix = [sum(weights[i:]) for i in range(last + 1)]
+    suffix = [sum(weights[i:]) for i in range(last)]
+    u, v = weights[-2:]
+    uv = u + v
     prefix = [0] * len(weights)
     found: list[tuple[int, ...]] = []
 
     def extend(i: int, squares: int, linear: int) -> None:
-        w = weights[i]
-        if i == last:
-            x, rest = divmod(linear, w)
-            if not rest and lo <= x <= hi and w * x * x == squares:
-                prefix[i] = x
-                found.append(tuple(prefix))
-            return
         if linear * linear > squares * suffix[i]:
             return
-        r = isqrt(squares // w)
-        for x in range(max(lo, -r), min(hi, r) + 1):
-            prefix[i] = x
-            extend(i + 1, squares - w * x * x, linear - w * x)
+        if i < last - 1:
+            w = weights[i]
+            r = isqrt(squares // w)
+            for x in range(max(lo, -r), min(hi, r) + 1):
+                prefix[i] = x
+                extend(i + 1, squares - w * x * x, linear - w * x)
+            return
+        disc = u * v * (squares * uv - linear * linear)
+        r = isqrt(disc)
+        if r * r != disc:
+            return
+        # the roots in ascending order, a double root once
+        for top in (u * linear - r, u * linear + r) if r else (u * linear,):
+            x, rest = divmod(top, u * uv)
+            if rest or not lo <= x <= hi:
+                continue
+            y, rest = divmod(linear - u * x, v)
+            if not rest and lo <= y <= hi:
+                prefix[i] = x
+                prefix[last] = y
+                found.append(tuple(prefix))
 
-    if weights:
-        extend(0, square_sum, linear_sum)
-    elif square_sum == linear_sum == 0:
-        found.append(())
+    extend(0, square_sum, linear_sum)
     return found
 
 

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilforge.base_change import (
     BranchLocus,
@@ -169,6 +171,33 @@ def test_exhaustive_trichotomy_transformed_totals():
                 assert total == 24
             checked += 1
     assert checked > 1000
+
+
+@st.composite
+def euler_twelve_branchings(draw):
+    # fibres drawn one at a time until the Euler total is exactly 12, and a
+    # branch locus over two listed places or two smooth ones
+    symbols, left = [], 12
+    while left:
+        euler = draw(st.integers(1, left))
+        symbols.append(draw(st.sampled_from(SYMBOLS_BY_EULER[euler])))
+        left -= euler
+    config = FibreConfiguration(tuple((f"v{i}", s) for i, s in enumerate(symbols)))
+    ids = [place for place, _ in config.places] + ["s0", "s1"]
+    first, second = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+    return config, BranchLocus(first, second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(euler_twelve_branchings())
+def test_base_change_conserves_euler_number(case):
+    # each starred branch fibre gives back 12 of the doubled total 24
+    config, branch = case
+    starred = sum(not config.fibre_at(place).reduced for place in branch.places)
+    total = euler_total(base_changed_configuration(config, branch))
+    assert total == 24 - 12 * starred
+    verdict = {24: SurfaceClass.K3, 12: SurfaceClass.RATIONAL, 0: SurfaceClass.TRIVIAL_PRODUCT}[total]
+    assert classify_quadratic_base_change(config, branch) == verdict
 
 
 def hurwitz_genus(branch1, branch2):

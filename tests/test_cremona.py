@@ -1,10 +1,13 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilforge.cremona import (
+    CremonaStep,
+    ReductionCertificate,
     is_connected_class,
     quadratic_transform,
     reduce_to_line,
@@ -26,6 +29,11 @@ GOLDEN_CHAIN = [
     ((3, 4, 5), NumericalClass(2, (0, 0, 0, 0, 0, 1, 1, 1, 1))),
     ((6, 7, 8), NumericalClass(1, (0, 0, 0, 0, 0, 0, 0, 0, 1))),
 ]
+
+
+def exact(c):
+    # a class holding an exact int and a 9-tuple of exact ints
+    return type(c.d) is int and type(c.m) is tuple and len(c.m) == 9 and all(type(x) is int for x in c.m)
 
 
 def random_class(rng, bound=9):
@@ -51,6 +59,15 @@ def test_transform_rejects_bad_indices():
         quadratic_transform(GOLDEN_START, 0, 1, 2)
     with pytest.raises(ValueError):
         quadratic_transform(GOLDEN_START, 7, 8, 10)
+
+
+def test_transform_takes_exact_integer_indices_only():
+    # quadratic_transform(a, True, 2, 3) used to transform at point 1
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="point index must be an integer"):
+            quadratic_transform(GOLDEN_START, bad, 2, 3)
+        with pytest.raises(TypeError, match="point index must be an integer"):
+            quadratic_transform(GOLDEN_START, 1, 2, bad)
 
 
 def test_transform_is_an_involution():
@@ -88,6 +105,14 @@ def test_golden_chain_certificate():
     assert [s.indices for s in cert.chain] == [ix for ix, _ in GOLDEN_CHAIN]
     assert [s.after for s in cert.chain] == [cls for _, cls in GOLDEN_CHAIN]
     assert cert.terminal == NumericalClass(1, (0, 0, 0, 0, 0, 0, 0, 0, 1))
+    # built without the generated __init__, they compare, hash and print
+    # like publicly built ones
+    for step in cert.chain:
+        rebuilt = CremonaStep(step.indices, step.before, step.after)
+        assert rebuilt == step and hash(rebuilt) == hash(step) and repr(rebuilt) == repr(step)
+        assert exact(step.before) and exact(step.after)
+    rebuilt = ReductionCertificate(cert.chain, cert.terminal, cert.success)
+    assert rebuilt == cert and hash(rebuilt) == hash(cert) and repr(rebuilt) == repr(cert)
 
 
 def test_certificates_replay():
@@ -148,6 +173,32 @@ def test_max_steps_budget():
         reduce_to_line(GOLDEN_START, max_steps=-1)
 
 
+def test_max_steps_takes_an_exact_integer_only():
+    # reduce_to_line(a, True) used to take one step
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(TypeError, match="max_steps must be an integer"):
+            reduce_to_line(GOLDEN_START, bad)
+        with pytest.raises(TypeError, match="max_steps must be an integer"):
+            is_connected_class(GOLDEN_START, bad)
+
+
+def test_duck_typed_classes_are_read_as_exact_integers_once():
+    duck = SimpleNamespace(d=6, m=(2, 2, 2, 2, 4, True, True, True, True))
+    cert = reduce_to_line(duck)
+    assert [s.after for s in cert.chain] == [cls for _, cls in GOLDEN_CHAIN]
+    assert all(exact(s.after) for s in cert.chain)
+    assert exact(quadratic_transform(duck, 1, 2, 5))
+    # a float raises at entry, even where no step would be taken
+    for d, m in ((6.0, GOLDEN_START.m), (1.0, GOLDEN_START.m), (6, (2.0,) + GOLDEN_START.m[1:])):
+        with pytest.raises(TypeError):
+            reduce_to_line(SimpleNamespace(d=d, m=m))
+        with pytest.raises(TypeError):
+            quadratic_transform(SimpleNamespace(d=d, m=m), 1, 2, 5)
+    for m in (GOLDEN_START.m + (0,), GOLDEN_START.m[:8]):
+        with pytest.raises(ValueError):
+            reduce_to_line(SimpleNamespace(d=6, m=m))
+
+
 def test_divergent_class_terminates_by_budget():
     # top multiplicities never exceed d once it goes negative, or the degree
     # plummets without passing through one; either way the reducer halts
@@ -203,21 +254,28 @@ def test_reduce_matches_the_reference_reducer(a, max_steps):
         assert 1 <= i < j < k <= 9
         assert step.before == current
         assert step.after == quadratic_transform(step.before, i, j, k)
-        assert type(step.after.m) is tuple
+        assert exact(step.after)
         assert step.after.d < step.before.d
         current = step.after
-    assert cert.terminal == current
+    assert cert.terminal == current and exact(cert.terminal)
 
 
 def test_reduction_builds_one_class_per_step(monkeypatch):
-    built = []
-    original = NumericalClass.__init__
+    # each step builds its class once, through the unchecked constructor
+    built, checked = [], []
+    unchecked, original = NumericalClass._of, NumericalClass.__init__
 
-    def counting(self, d, m):
+    def counting(d, m):
         built.append(d)
+        return unchecked(d, m)
+
+    def counting_checked(self, d, m):
+        checked.append(d)
         original(self, d, m)
 
-    monkeypatch.setattr(NumericalClass, "__init__", counting)
+    monkeypatch.setattr(NumericalClass, "_of", staticmethod(counting))
+    monkeypatch.setattr(NumericalClass, "__init__", counting_checked)
     cert = reduce_to_line(GOLDEN_START)
     assert cert.success
     assert len(built) == len(cert.chain) == len(GOLDEN_CHAIN)
+    assert checked == []

@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilforge import heights
 from pencilforge.heights import (
@@ -169,22 +170,24 @@ def test_height_with_one_i2_correction():
     assert height_pairing(data, chi=1, fibres=["I2"]) == Fraction(3, 2)
 
 
-def test_height_pairing_symmetry():
-    rng = random.Random(41)
-    symbols = ["I2", "I3", "I5", "IV", "I0*", "I1*", "IV*", "III*", "II*"]
-    for _ in range(400):
-        fibres = [rng.choice(symbols) for _ in range(rng.randint(0, 3))]
-        comps, swapped = [], []
-        for symbol in fibres:
-            top = ReducibleFibreData(symbol).component_count - 1
-            i, j = rng.randint(0, top), rng.randint(0, top)
-            comps.append((i, j))
-            swapped.append((j, i))
-        po, qo, pq = rng.randint(0, 5), rng.randint(0, 5), rng.randint(-2, 5)
-        chi = rng.randint(1, 3)
-        lhs = height_pairing(SectionIntersections(po, qo, pq, tuple(comps)), chi, fibres)
-        rhs = height_pairing(SectionIntersections(qo, po, pq, tuple(swapped)), chi, fibres)
-        assert lhs == rhs
+@st.composite
+def pairing_data(draw):
+    # reducible fibres, each with the components met by P and Q
+    fibres = draw(st.lists(st.sampled_from(ORACLE_SYMBOLS), max_size=4))
+    comps = [draw(st.tuples(*[st.integers(0, ReducibleFibreData(f).component_count - 1)] * 2))
+             for f in fibres]
+    zeros = draw(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 5)))
+    return fibres, comps, zeros, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_data())
+def test_height_pairing_symmetry(case):
+    # swapping P and Q swaps (P.O) with (Q.O) and each component pair
+    fibres, comps, (po, qo, pq), chi = case
+    lhs = height_pairing(SectionIntersections(po, qo, pq, tuple(comps)), chi, fibres)
+    swapped = tuple((j, i) for i, j in comps)
+    assert height_pairing(SectionIntersections(qo, po, pq, swapped), chi, fibres) == lhs
 
 
 def test_height_pairing_validates_inputs():
@@ -238,6 +241,23 @@ def test_enumerate_d_max_two_census():
         by_degree[c.d] = by_degree.get(c.d, 0) + 1
     assert by_degree == {0: 9, 1: 36, 2: 126}
     assert classes == sorted(classes, key=lambda c: (c.d, c.m))
+
+
+def test_enumerated_classes_hold_exact_integers():
+    classes = enumerate_section_classes(d_max=6)
+    assert len(classes) == len(set(classes))
+    for c in classes:
+        assert type(c.d) is int and type(c.m) is tuple and len(c.m) == 9
+        assert all(type(x) is int for x in c.m)
+        checked = NumericalClass(c.d, c.m)
+        assert checked == c and hash(checked) == hash(c) and repr(checked) == repr(c)
+
+
+def test_d_max_takes_an_exact_integer_only():
+    # enumerate_section_classes(None, True) used to return the 45 classes of d_max 1
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="d_max must be an integer"):
+            enumerate_section_classes(None, bad)
 
 
 def test_enumerate_constraints_pin_a_class():

@@ -371,6 +371,25 @@ def test_search_matches_brute_force_on_every_configuration(model, sizes):
     assert [(s.level, s.mults) for s in found] == brute_force_search(model, sizes, n_max)
 
 
+def test_search_results_are_exact_and_equal_checked_specs():
+    # every configuration at n_max 3: results built without __post_init__
+    # hold exact ints and equal, hash and print like checked specs
+    assert len(ALL_CONFIGS) == 112
+    for model, sizes in ALL_CONFIGS:
+        for s in search_pencils(model, OrbitStructure(sizes), 3):
+            assert type(s.level) is int and type(s.extra_conditions) is int and type(s.mults) is tuple
+            assert all(type(x) is int for x in s.mults)
+            checked = PencilSpec(s.model, s.level, s.mults)
+            assert checked == s and hash(checked) == hash(s) and repr(checked) == repr(s)
+
+
+def test_n_max_takes_an_exact_integer_only():
+    # search_pencils("plane", OrbitStructure((1, 2)), True) used to search n_max 1
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            search_pencils("plane", OrbitStructure((1, 2)), bad)
+
+
 MODELS = ["plane"] + [f"dp{d}" for d in range(1, 9)]
 
 

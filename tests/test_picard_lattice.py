@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilforge.picard_lattice import (
     CANONICAL,
@@ -99,6 +101,13 @@ def test_exceptional_classes():
         exceptional(10)
 
 
+def test_exceptional_takes_an_exact_integer_only():
+    # exceptional(True) used to return E_1
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="point index must be an integer"):
+            exceptional(bad)
+
+
 def test_class_arithmetic_and_serialization():
     a = NumericalClass(2, (1, 1, 1, 1, 1, 0, 0, 0, 0))
     assert NumericalClass.from_list(a.to_list()) == a
@@ -161,6 +170,24 @@ def test_weighted_vectors_match_brute_force(weights, lo, hi):
             assert list(weighted_vectors(weights, square_sum, linear_sum, lo, hi)) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.integers(-4, 2), st.integers(0, 6),
+       st.data())
+def test_weighted_vectors_match_a_bucket_oracle(weights, lo, span, data):
+    # the closed-form last two entries against a plain product scan; the
+    # drawn sums hit buckets and miss them, negative square sums included
+    hi = min(lo + span, 6)
+    buckets = {}
+    for x in itertools.product(range(lo, hi + 1), repeat=len(weights)):
+        key = (sum(w * v * v for w, v in zip(weights, x)), sum(w * v for w, v in zip(weights, x)))
+        buckets.setdefault(key, []).append(x)
+    keys = data.draw(st.lists(st.sampled_from(sorted(buckets)), min_size=1, max_size=8))
+    keys += data.draw(st.lists(st.tuples(st.integers(-5, 200), st.integers(-40, 40)), max_size=8))
+    for square_sum, linear_sum in keys:
+        want = buckets.get((square_sum, linear_sum), [])
+        assert weighted_vectors(weights, square_sum, linear_sum, lo, hi) == want
+
+
 def test_weighted_vectors_of_no_weights():
     assert weighted_vectors((), 0, 0, 0, 1) == [()]
     assert weighted_vectors((), 1, 0, 0, 1) == []
@@ -210,6 +237,15 @@ def test_numerical_class_value_semantics():
     assert dataclasses.replace(GOLDEN, m=[0] * 9).m == (0,) * 9
     with pytest.raises(TypeError):
         dataclasses.replace(GOLDEN, d=7.0)
+
+
+def test_unchecked_classes_behave_like_checked_ones():
+    built = NumericalClass._of(6, (2, 2, 2, 2, 4, 1, 1, 1, 1))
+    assert type(built) is NumericalClass
+    assert built == GOLDEN and hash(built) == hash(GOLDEN) and repr(built) == repr(GOLDEN)
+    assert dataclasses.replace(built, d=7) == NumericalClass(7, GOLDEN.m)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.d = 7
 
 
 def test_strict_int_accepts_exact_integers_only():
