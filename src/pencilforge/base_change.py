@@ -23,75 +23,87 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .picard_lattice import strict_int
 
 _IN_RE = re.compile(r"^I(\d+)(\*?)$")
 
-# euler, component count, dual graph for the simple additive types
+# euler and component count of the types that carry no index
 _SIMPLE_TYPES = {
-    "II": (2, 1, True),
-    "III": (3, 2, True),
-    "IV": (4, 3, True),
-    "IV*": (8, 7, False),
-    "III*": (9, 8, False),
-    "II*": (10, 9, False),
+    "II": (2, 1),
+    "III": (3, 2),
+    "IV": (4, 3),
+    "IV*": (8, 7),
+    "III*": (9, 8),
+    "II*": (10, 9),
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KodairaFibre:
-    """A singular-fibre type symbol with its numerical invariants."""
+    """A singular-fibre type symbol with its numerical invariants.
+
+    `KodairaFibre(raw)` parses each distinct raw string once: it returns the
+    interned instance for that spelling, whose fields were filled when the
+    symbol was first seen.  Instances compare and hash by `symbol` alone.
+    """
 
     symbol: str
+    index: int | None = field(init=False, compare=False, repr=False)  # n for I_n and I_n*
+    starred: bool = field(init=False, compare=False, repr=False)  # a multiple component
+    euler: int = field(init=False, compare=False, repr=False)  # local Euler number d_v
+    components: int = field(init=False, compare=False, repr=False)  # m_v
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbol", _canonical_symbol(self.symbol))
+    def __new__(cls, symbol: str) -> "KodairaFibre":
+        if not isinstance(symbol, str):
+            raise TypeError(f"a Kodaira symbol must be a string, got {symbol!r}")
+        return _interned(symbol)
 
-    @property
-    def index(self) -> int | None:
-        """n for I_n / I_n* types, None otherwise."""
-        match = _IN_RE.match(self.symbol)
-        return int(match.group(1)) if match else None
+    def __init__(self, symbol: str) -> None:
+        # `__new__` returned a complete instance.  Defined all the same so
+        # that a wrapper of `__init__` (a tracer's) can pass the symbol on:
+        # object.__init__ rejects it once the class overrides `__init__`.
+        pass
 
-    @property
-    def euler(self) -> int:
-        """Local Euler number d_v."""
-        match = _IN_RE.match(self.symbol)
-        if match:
-            n = int(match.group(1))
-            return n + 6 if match.group(2) else n
-        return _SIMPLE_TYPES[self.symbol][0]
+    def __reduce__(self):
+        return KodairaFibre, (self.symbol,)
 
     @property
     def reduced(self) -> bool:
         """False exactly for starred (multiple-component) types."""
-        return not self.symbol.endswith("*")
-
-    @property
-    def components(self) -> int:
-        """Number m_v of irreducible components."""
-        match = _IN_RE.match(self.symbol)
-        if match:
-            n = int(match.group(1))
-            if match.group(2):
-                return n + 5
-            return max(n, 1)  # I0 is a smooth fibre, I1 a nodal one
-        return _SIMPLE_TYPES[self.symbol][1]
+        return not self.starred
 
     def __str__(self) -> str:
         return self.symbol
 
 
-def _canonical_symbol(raw: str) -> str:
+@lru_cache(maxsize=1024)
+def _interned(raw: str) -> KodairaFibre:
+    # the one symbol cache, keyed by the raw string and bounded because I_n
+    # is valid for every n; other spellings resolve to the canonical entry
     symbol = raw.strip().replace("_", "")
     if symbol in _SIMPLE_TYPES:
-        return symbol
-    match = _IN_RE.match(symbol)
-    if match:
-        return f"I{int(match.group(1))}{match.group(2)}"
-    raise ValueError(f"unknown Kodaira symbol {raw!r}")
+        index = None
+        euler, components = _SIMPLE_TYPES[symbol]
+    else:
+        match = _IN_RE.match(symbol)
+        if not match:
+            raise ValueError(f"unknown Kodaira symbol {raw!r}")
+        index = int(match.group(1))
+        symbol = f"I{index}{match.group(2)}"
+        if match.group(2):
+            euler, components = index + 6, index + 5
+        else:
+            euler, components = index, max(index, 1)  # I0 is smooth, I1 nodal
+    if symbol != raw:
+        return _interned(symbol)
+    fibre = object.__new__(KodairaFibre)
+    for name, value in (("symbol", symbol), ("index", index), ("starred", symbol.endswith("*")),
+                        ("euler", euler), ("components", components)):
+        object.__setattr__(fibre, name, value)
+    return fibre
 
 
 SMOOTH = KodairaFibre("I0")
@@ -104,13 +116,13 @@ class FibreConfiguration:
     places: tuple[tuple[str, KodairaFibre], ...]
 
     def __post_init__(self) -> None:
-        normalised = tuple(
+        normalised = tuple([
             (str(place), fibre if isinstance(fibre, KodairaFibre) else KodairaFibre(fibre))
             for place, fibre in self.places
-        )
+        ])
         object.__setattr__(self, "places", normalised)
-        ids = [place for place, _ in normalised]
-        if len(set(ids)) != len(ids):
+        if len({place for place, _ in normalised}) != len(normalised):
+            ids = [place for place, _ in normalised]
             raise ValueError(f"duplicate place ids in configuration: {ids}")
 
     @classmethod
@@ -188,9 +200,9 @@ def transform_fibre(fibre: KodairaFibre, ramified: bool) -> list[KodairaFibre]:
     if n is not None:
         # I_n doubles; I_n* loses its star and doubles (I0* smooths out).
         return [KodairaFibre(f"I{2 * n}")]
-    if fibre.reduced:
-        return [KodairaFibre(_RAMIFIED_REDUCED[fibre.symbol])]
-    return [KodairaFibre(_RAMIFIED_STARRED[fibre.symbol])]
+    if fibre.starred:
+        return [KodairaFibre(_RAMIFIED_STARRED[fibre.symbol])]
+    return [KodairaFibre(_RAMIFIED_REDUCED[fibre.symbol])]
 
 
 def euler_total(config: FibreConfiguration) -> int:
@@ -203,7 +215,10 @@ def base_changed_configuration(config: FibreConfiguration, branch: BranchLocus) 
 
     Unramified places v contribute places "v.1" and "v.2"; ramified places
     keep their id.  Branch points over places absent from the configuration
-    sit on smooth fibres and contribute nothing.
+    sit on smooth fibres and contribute nothing.  The new ids can collide
+    with listed ones (places "a" and "a.1", with "a" unramified and "a.1"
+    ramified), and then the configuration is rejected as holding duplicate
+    ids; `classify_quadratic_base_change` does not build it.
     """
     out: list[tuple[str, KodairaFibre]] = []
     for place, fibre in config.places:
@@ -217,6 +232,11 @@ def base_changed_configuration(config: FibreConfiguration, branch: BranchLocus) 
     return FibreConfiguration(tuple(out))
 
 
+# Euler total of the base change -> outcome; each starred branch fibre gives
+# back 12 of the doubled total 24
+_BY_TRANSFORMED_TOTAL = {24: SurfaceClass.K3, 12: SurfaceClass.RATIONAL, 0: SurfaceClass.TRIVIAL_PRODUCT}
+
+
 def classify_quadratic_base_change(config: FibreConfiguration, branch: BranchLocus) -> SurfaceClass:
     """Trichotomy for a quadratic base change of a rational elliptic surface.
 
@@ -225,18 +245,20 @@ def classify_quadratic_base_change(config: FibreConfiguration, branch: BranchLoc
     forces the configuration (I0*, I0*) and kills every singular fibre: the
     result is a product of an elliptic curve and a rational curve.  Otherwise
     the total doubles to 24 and the base change is a K3 surface.
+
+    The transformed total is summed place by place, as in the module table:
+    2 d_v over an unramified place, and over a ramified one the Euler number
+    of the image, 2 d_v for a reduced fibre and 2 d_v - 12 for a starred one.
     """
-    total = euler_total(config)
+    total = transformed = 0
+    ramified = branch.places
+    for place, fibre in config.places:
+        euler = fibre.euler
+        total += euler
+        transformed += 2 * euler - 12 if fibre.starred and place in ramified else 2 * euler
     if total != 12:
         raise ValueError(f"a rational elliptic surface has Euler total 12, got {total}")
-    branch_fibres = [config.fibre_at(place) for place in sorted(branch.places)]
-    if all(f.symbol == "I0*" for f in branch_fibres):
-        return SurfaceClass.TRIVIAL_PRODUCT
-    transformed = euler_total(base_changed_configuration(config, branch))
-    if transformed == 12:
-        return SurfaceClass.RATIONAL
-    assert transformed == 24, f"impossible transformed Euler total {transformed}"
-    return SurfaceClass.K3
+    return _BY_TRANSFORMED_TOTAL[transformed]
 
 
 def fibre_product_genus(branch1: BranchLocus, branch2: BranchLocus) -> FibreProductKind:

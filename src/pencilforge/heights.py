@@ -23,7 +23,8 @@ Component indexing (0 is always the component met by the zero section):
 
 Any consistent convention gives the same multiset of correction values; the
 one above is frozen so that certificates and serialized inputs replay.
-All values are exact rationals.
+All values are exact rationals: A_r and D_r entries in closed form, so a
+large I_n costs no more than a small one, and E_6, E_7, E_8 by inversion.
 """
 
 from __future__ import annotations
@@ -37,17 +38,15 @@ from math import isqrt
 from .base_change import KodairaFibre
 from .picard_lattice import NumericalClass, intersect, strict_fields, strict_int, weighted_vectors
 
+
 def dynkin_type(symbol: str) -> tuple[str, int]:
     """Dynkin letter and rank attached to a Kodaira symbol.
 
     Rank 0 (types I0, I1, II) means the fibre has no non-identity component.
     """
     fibre = KodairaFibre(symbol)
-    n = fibre.index
-    if n is not None:
-        return ("D", n + 4) if not fibre.reduced else ("A", max(n - 1, 0))
-    return {"II": ("A", 0), "III": ("A", 1), "IV": ("A", 2),
-            "IV*": ("E", 6), "III*": ("E", 7), "II*": ("E", 8)}[fibre.symbol]
+    letter = "A" if not fibre.starred else "E" if fibre.index is None else "D"
+    return letter, fibre.components - 1
 
 
 def _dynkin_edges(letter: str, rank: int) -> list[tuple[int, int]]:
@@ -65,7 +64,6 @@ def _dynkin_edges(letter: str, rank: int) -> list[tuple[int, int]]:
     raise ValueError(f"unknown Dynkin letter {letter!r}")
 
 
-@lru_cache(maxsize=None)
 def cartan_matrix(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of the given simply-laced Dynkin type (possibly 0x0)."""
     rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -94,9 +92,10 @@ def invert_exact(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Frac
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(letter: str, rank: int) -> tuple[tuple[Fraction, ...], ...]:
-    return invert_exact(cartan_matrix(letter, rank))
+@lru_cache(maxsize=3)
+def _e_inverse(rank: int) -> tuple[tuple[Fraction, ...], ...]:
+    # E6, E7 and E8 only: A_r and D_r have closed forms (see _correction)
+    return invert_exact(cartan_matrix("E", rank))
 
 
 @dataclass(frozen=True)
@@ -119,22 +118,51 @@ class ReducibleFibreData:
         return tuple(tuple(-x for x in row) for row in cartan_matrix(letter, rank))
 
 
+def _correction(fibre: ReducibleFibreData | KodairaFibre | str, i: int, j: int) -> tuple[int, int]:
+    """contr_v(P, Q) as a numerator and a positive denominator, not reduced.
+
+    The (i, j) entry of the inverse Cartan matrix of rank r = m_v - 1, in
+    closed form for A_r and D_r:
+
+    * A_r: min(i, j) (r + 1 - max(i, j)) / (r + 1).
+    * D_r (chain 1..r-2, fork at r-2, ends r-1 and r): min(i, j) on the
+      chain, i/2 from chain node i to either end, r/4 at an end with itself
+      and (r - 2)/4 between the two ends.
+    """
+    if type(fibre) is not KodairaFibre:
+        fibre = KodairaFibre(getattr(fibre, "symbol", fibre))
+    i = strict_int(i, "component index")
+    j = strict_int(j, "component index")
+    top = fibre.components - 1
+    for idx in (i, j):
+        if not 0 <= idx <= top:
+            raise ValueError(f"component index {idx} out of range 0..{top} for {fibre.symbol}")
+    if i == 0 or j == 0:
+        return 0, 1
+    if i > j:
+        i, j = j, i
+    if not fibre.starred:
+        return i * (top + 1 - j), top + 1
+    if fibre.index is None:
+        entry = _e_inverse(top)[i - 1][j - 1]
+        return entry.numerator, entry.denominator
+    chain = top - 2
+    if j <= chain:
+        return i, 1
+    if i <= chain:
+        return i, 2
+    return (top if i == j else chain), 4
+
+
 def contribution(fibre: ReducibleFibreData | KodairaFibre | str, i: int, j: int) -> Fraction:
     """Local correction contr_v(P, Q) for sections meeting components i and j.
 
     Zero when either section meets the identity component, otherwise the
-    (i, j) entry of -A_v^{-1}, i.e. of the inverse Cartan matrix.
+    (i, j) entry of -A_v^{-1}, i.e. of the inverse Cartan matrix.  The fibre
+    is a symbol string or an object carrying one; the component indices are
+    exact ints.
     """
-    symbol = fibre.symbol if hasattr(fibre, "symbol") else str(fibre)
-    data = ReducibleFibreData(symbol)
-    top = data.component_count - 1
-    for idx in (i, j):
-        if not 0 <= idx <= top:
-            raise ValueError(f"component index {idx} out of range 0..{top} for {data.symbol}")
-    if i == 0 or j == 0:
-        return Fraction(0)
-    letter, rank = dynkin_type(data.symbol)
-    return _cartan_inverse(letter, rank)[i - 1][j - 1]
+    return Fraction(*_correction(fibre, i, j))
 
 
 @dataclass(frozen=True)
@@ -171,8 +199,13 @@ def height_pairing(data: SectionIntersections, chi: int,
     if len(data.components) != len(fibres):
         raise ValueError(
             f"component data for {len(data.components)} fibres but {len(fibres)} fibres given")
-    local = sum((contribution(f, i, j) for f, (i, j) in zip(fibres, data.components)), Fraction(0))
-    return Fraction(chi + data.p_zero + data.q_zero - data.p_q) - local
+    # the local corrections summed over one common denominator, reduced once
+    num, den = 0, 1
+    for f, (i, j) in zip(fibres, data.components):
+        n, d = _correction(f, i, j)
+        if n:
+            num, den = num * d + n * den, den * d
+    return Fraction((chi + data.p_zero + data.q_zero - data.p_q) * den - num, den)
 
 
 def enumerate_section_classes(

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -227,3 +230,72 @@ def test_fibre_product_genus_never_exceeds_one():
     for b1, b2 in itertools.product(loci, repeat=2):
         kind = fibre_product_genus(b1, b2)
         assert kind.genus is None or kind.genus <= 1
+
+
+@pytest.mark.parametrize("bad", [5, None, ["I2"], b"I2"])
+def test_non_string_symbols_raise_type_error(bad):
+    # 5 used to fail inside the parser with an AttributeError
+    with pytest.raises(TypeError, match="must be a string"):
+        KodairaFibre(bad)
+    with pytest.raises(TypeError):
+        FibreConfiguration((("a", bad),))
+
+
+def test_each_spelling_resolves_to_one_interned_fibre():
+    fibre = KodairaFibre("I2")
+    assert KodairaFibre(" I_2 ") is fibre and KodairaFibre("I02") is fibre
+    assert repr(fibre) == "KodairaFibre(symbol='I2')"
+    assert pickle.loads(pickle.dumps(fibre)) is fibre
+    assert copy.deepcopy(FibreConfiguration((("a", fibre),))).places[0][1] is fibre
+    assert dataclasses.replace(fibre, symbol="IV*") is KodairaFibre("IV*")
+    assert KodairaFibre("I3") != fibre and len({fibre, KodairaFibre("I_2")}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fibre.euler = 3
+
+
+def test_symbol_cache_stays_bounded():
+    from pencilforge.base_change import _interned
+
+    for n in range(10_000):
+        KodairaFibre(f"I{10 ** 6 + n}")
+    info = _interned.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_classify_does_not_build_the_renamed_configuration():
+    # the unramified place "a" would be renamed "a.1", the id of the ramified place
+    config = FibreConfiguration((("a", "I1"), ("a.1", "I1"), ("b", "I10")))
+    branch = BranchLocus("a.1", "z")
+    assert classify_quadratic_base_change(config, branch) == SurfaceClass.K3
+    with pytest.raises(ValueError, match="duplicate place ids"):
+        base_changed_configuration(config, branch)
+
+
+@st.composite
+def colliding_branchings(draw):
+    # like euler_twelve_branchings, over place ids that the renaming of
+    # base_changed_configuration can collide with
+    symbols, left = [], 12
+    while left:
+        euler = draw(st.integers(1, left))
+        symbols.append(draw(st.sampled_from(SYMBOLS_BY_EULER[euler])))
+        left -= euler
+    pool = ["a", "a.1", "a.2", "b", "b.1", "a.1.1", "c"]
+    ids = draw(st.lists(st.sampled_from(pool), min_size=len(symbols), max_size=len(symbols), unique=True)) \
+        if len(symbols) <= len(pool) else [f"v{i}" for i in range(len(symbols))]
+    config = FibreConfiguration(tuple(zip(ids, symbols)))
+    first, second = draw(st.lists(st.sampled_from(ids + ["s0", "s1"]), min_size=2, max_size=2, unique=True))
+    return config, BranchLocus(first, second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colliding_branchings())
+def test_classify_euler_sum_matches_the_built_configuration(case):
+    config, branch = case
+    verdict = classify_quadratic_base_change(config, branch)
+    try:
+        total = euler_total(base_changed_configuration(config, branch))
+    except ValueError as exc:
+        assert "duplicate place ids" in str(exc)
+        return
+    assert verdict == {24: SurfaceClass.K3, 12: SurfaceClass.RATIONAL, 0: SurfaceClass.TRIVIAL_PRODUCT}[total]

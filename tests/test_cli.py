@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -236,3 +237,51 @@ def test_outputs_reparse_into_their_types(capsys):
     _, payload = run(capsys, "sections", "enumerate", "--d-max", "1")
     for coords in payload["result"]["classes"]:
         NumericalClass.from_list(coords)
+
+
+HUGE = "I" + "9" * 5000  # beyond the interpreter's default int-parsing limit
+PAIR_DATA = '{"PO": 0, "QO": 0, "PQ": -1, "components": [[1, 1]]}'
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # --config: non-string, unknown and huge fibre types
+    (["basechange", "classify", "--config", '[{"place": "a", "type": 5}]', "--branch", "a,b"], 2),
+    (["basechange", "classify", "--config", '[{"place": "a", "type": ["I2"]}]', "--branch", "a,b"], 2),
+    (["basechange", "classify", "--config", '[{"place": "a", "type": null}]', "--branch", "a,b"], 2),
+    (["basechange", "classify", "--config", '[{"place": "a", "type": "V"}]', "--branch", "a,b"], 3),
+    (["basechange", "classify", "--config", '{"I1": 6, "V": 1}', "--branch", "v0,v1"], 3),
+    (["basechange", "classify", "--config", '[{"place": "a", "type": "I1000000000000"}]', "--branch", "a,b"], 3),
+    (["basechange", "classify", "--config", f'[{{"place": "a", "type": "{HUGE}"}}]', "--branch", "a,b"], 3),
+    # --type: unknown and huge
+    (["basechange", "transform", "--type", "V"], 3),
+    (["basechange", "transform", "--type", "I*", "--ramified"], 3),
+    (["height", "contrib", "--type", "V", "--i", "0", "--j", "0"], 3),
+    (["height", "contrib", "--type", "I100000", "--i", "100000", "--j", "1"], 3),
+    (["height", "contrib", "--type", "I100000*", "--i", "0", "--j", "100005"], 3),
+    (["height", "contrib", "--type", HUGE, "--i", "-1", "--j", "0"], 3),
+    # --fibres: non-string, unknown and huge
+    (["height", "pair", "--data", PAIR_DATA, "--fibres", '[["I2"]]'], 2),
+    (["height", "pair", "--data", PAIR_DATA, "--fibres", "[2]"], 2),
+    (["height", "pair", "--data", PAIR_DATA, "--fibres", '["V"]'], 3),
+    (["height", "pair", "--data", PAIR_DATA.replace("[[1, 1]]", "[[100000, 1]]"), "--fibres", '["I100000"]'], 3),
+    (["height", "pair", "--data", PAIR_DATA.replace("[[1, 1]]", "[[-1, 0]]"), "--fibres", f'["{HUGE}"]'], 3),
+])
+def test_bad_fibre_symbols_give_one_envelope(capsys, argv, expected):
+    # run() fails on a traceback, on anything written to stderr and on
+    # output that is not one JSON document
+    code, payload = run(capsys, *argv)
+    assert code == expected
+    assert payload["ok"] is False and set(payload) == {"ok", "error"}
+
+
+def test_large_fibres_answer_at_once(capsys):
+    # contrib on I240 used to invert a 239 x 239 matrix for about a minute
+    start = time.perf_counter()
+    code, payload = run(capsys, "height", "contrib", "--type", "I240", "--i", "1", "--j", "1")
+    assert code == 0 and payload["result"] == "239/240"
+    code, payload = run(capsys, "height", "pair", "--data", PAIR_DATA.replace("[[1, 1]]", "[[2, 99999]]"),
+                        "--fibres", '["I100000"]')
+    assert code == 0 and payload["result"] == "99999/50000"  # 2 - 2/100000
+    code, payload = run(capsys, "basechange", "transform", "--type", "I100000*", "--ramified")
+    assert code == 0 and payload["result"] == {"fibres": ["I200000"], "euler": 200000}
+    assert time.perf_counter() - start < 2.0

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilforge import heights
+from pencilforge.base_change import KodairaFibre
 from pencilforge.heights import (
     KummerInputs,
     ReducibleFibreData,
@@ -347,3 +350,99 @@ def test_kummer_constants_take_int_or_fraction_only(field, bad):
     args[field] = bad
     with pytest.raises(TypeError):
         KummerInputs(*args)
+
+
+# Kodaira's table, written out by hand for the types without an index:
+# symbol -> (euler, components, Dynkin rank of the non-identity components)
+SIMPLE_KODAIRA = {
+    "II": (2, 1, 0), "III": (3, 2, 1), "IV": (4, 3, 2),
+    "IV*": (8, 7, 6), "III*": (9, 8, 7), "II*": (10, 9, 8),
+}
+
+
+def kodaira_row(symbol):
+    """(index, starred, euler, components) of a canonical symbol, from the table."""
+    if symbol in SIMPLE_KODAIRA:
+        euler, components, _ = SIMPLE_KODAIRA[symbol]
+        return None, symbol.endswith("*"), euler, components
+    if symbol.endswith("*"):
+        n = int(symbol[1:-1])
+        return n, True, n + 6, n + 5
+    n = int(symbol[1:])
+    return n, False, n, max(n, 1)
+
+
+@lru_cache(maxsize=None)
+def oracle_corrections(symbol):
+    # -A_v^{-1} for the fibre geometry of fibre_component_matrix
+    return invert_exact([[-x for x in row] for row in fibre_component_matrix(symbol)])
+
+
+KODAIRA_SYMBOLS = ([f"I{n}" for n in range(61)] + [f"I{n}*" for n in range(31)]
+                   + list(SIMPLE_KODAIRA))
+
+
+@st.composite
+def spelled_symbols(draw):
+    # a canonical symbol, an underscore somewhere in it, spaces around it
+    symbol = draw(st.sampled_from(KODAIRA_SYMBOLS))
+    cut = draw(st.integers(0, len(symbol)))
+    if draw(st.booleans()):
+        symbol = symbol[:cut] + "_" + symbol[cut:]
+    pad = st.text(" \t", max_size=2)
+    return draw(pad) + symbol + draw(pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_symbols(), st.data())
+def test_interned_fibres_match_kodaira_table_and_inverse_cartan(raw, data):
+    fibre = KodairaFibre(raw)
+    canonical = raw.strip().replace("_", "")
+    assert fibre.symbol == canonical
+    assert (fibre.index, fibre.starred, fibre.euler, fibre.components) == kodaira_row(canonical)
+    assert fibre.reduced is not fibre.starred
+    rank = fibre.components - 1
+    assert dynkin_type(raw)[1] == rank
+    if canonical in SIMPLE_KODAIRA:
+        assert rank == SIMPLE_KODAIRA[canonical][2]
+    i = data.draw(st.integers(0, rank))
+    j = data.draw(st.integers(0, rank))
+    value = contribution(raw, i, j)
+    assert type(value) is Fraction and value == contribution(fibre, j, i)
+    if i == 0 or j == 0:
+        assert value == 0
+    elif rank <= 30:
+        assert value == oracle_corrections(canonical)[i - 1][j - 1]
+
+
+def test_contribution_of_a_huge_fibre_answers_at_once():
+    # I240 used to invert a 239 x 239 matrix for about a minute
+    start = time.perf_counter()
+    assert contribution("I100000", 1, 1) == Fraction(99999, 100000)
+    assert contribution("I100000", 50000, 50000) == 25000
+    assert contribution("I100000*", 3, 100004) == Fraction(3, 2)
+    assert contribution("I100000*", 100003, 100003) == 25001
+    assert contribution("I100000*", 100003, 100004) == Fraction(50001, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_heights_holds_no_unbounded_cache():
+    for name, value in vars(heights).items():
+        if hasattr(value, "cache_info"):
+            assert value.cache_info().maxsize is not None, name
+
+
+@pytest.mark.parametrize("i,j", [(True, True), (1.0, 1), (1, "1"), (Fraction(1), 1)])
+def test_component_indices_take_exact_integers_only(i, j):
+    # contribution("I2", True, True) used to return 1/2
+    with pytest.raises(TypeError, match="component index"):
+        contribution("I2", i, j)
+
+
+@pytest.mark.parametrize("fibre", [["I2"], 2, None])
+def test_contribution_takes_no_coerced_symbol(fibre):
+    # ["I2"] used to be looked up as the symbol "['I2']"
+    with pytest.raises(TypeError):
+        contribution(fibre, 1, 1)
+    with pytest.raises(TypeError):
+        height_pairing(SectionIntersections(0, 0, -1, ((1, 1),)), 1, [fibre])
