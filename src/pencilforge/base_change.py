@@ -30,6 +30,9 @@ from .picard_lattice import strict_int
 
 _IN_RE = re.compile(r"^I(\d+)(\*?)$")
 
+# the longest I_n index read: the interpreter's default limit for int(str)
+_MAX_INDEX_DIGITS = 4300
+
 # euler and component count of the types that carry no index
 _SIMPLE_TYPES = {
     "II": (2, 1),
@@ -91,7 +94,11 @@ def _interned(raw: str) -> KodairaFibre:
         match = _IN_RE.match(symbol)
         if not match:
             raise ValueError(f"unknown Kodaira symbol {raw!r}")
-        index = int(match.group(1))
+        digits = match.group(1)
+        if len(digits) > _MAX_INDEX_DIGITS:
+            raise ValueError(f"Kodaira symbol {raw[:12]}... has a {len(digits)}-digit index; "
+                             f"at most {_MAX_INDEX_DIGITS} digits are accepted")
+        index = int(digits)
         symbol = f"I{index}{match.group(2)}"
         if match.group(2):
             euler, components = index + 6, index + 5
@@ -109,6 +116,13 @@ def _interned(raw: str) -> KodairaFibre:
 SMOOTH = KodairaFibre("I0")
 
 
+def _place_id(place: object) -> str:
+    # place ids are compared as given: 5 and "5" must not meet through str()
+    if not isinstance(place, str):
+        raise TypeError(f"a place id must be a string, got {place!r}")
+    return place
+
+
 @dataclass(frozen=True)
 class FibreConfiguration:
     """Places of the base, each carrying a singular fibre type."""
@@ -117,7 +131,7 @@ class FibreConfiguration:
 
     def __post_init__(self) -> None:
         normalised = tuple([
-            (str(place), fibre if isinstance(fibre, KodairaFibre) else KodairaFibre(fibre))
+            (_place_id(place), fibre if isinstance(fibre, KodairaFibre) else KodairaFibre(fibre))
             for place, fibre in self.places
         ])
         object.__setattr__(self, "places", normalised)
@@ -153,9 +167,10 @@ class BranchLocus:
     places: frozenset[str]
 
     def __init__(self, first: str, second: str) -> None:
+        first, second = _place_id(first), _place_id(second)
         if first == second:
             raise ValueError(f"branch points must be distinct, got {first!r} twice")
-        object.__setattr__(self, "places", frozenset({str(first), str(second)}))
+        object.__setattr__(self, "places", frozenset({first, second}))
 
     def __contains__(self, place: str) -> bool:
         return place in self.places

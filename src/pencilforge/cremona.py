@@ -12,6 +12,7 @@ special point positions, and a failed reduction proves nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 from .picard_lattice import NumericalClass, strict_int
 
@@ -21,7 +22,7 @@ _new = object.__new__
 _setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CremonaStep:
     """One transformation: `after == quadratic_transform(before,*indices)`."""
 
@@ -37,7 +38,7 @@ class CremonaStep:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionCertificate:
     """Replayable chain of Cremona steps ending at `terminal`.
 
@@ -54,13 +55,23 @@ class ReductionCertificate:
         return [step.to_json() for step in self.chain]
 
 
-def _transform(d: int, m: list[int], i: int, j: int, k: int) -> int:
-    # the transformation at 0-based i, j, k: rewrites m in place, returns d'
-    mi, mj, mk = m[i], m[j], m[k]
-    m[i] = d - mj - mk
-    m[j] = d - mi - mk
-    m[k] = d - mi - mj
-    return 2 * d - mi - mj - mk
+def _centre_table() -> list:
+    # table[i][j][k], for distinct 0-based i, j, k in any order, is the
+    # ascending 1-based centre: one tuple per centre, shared by every step
+    # taken there
+    table = [[[None] * 9 for _ in range(9)] for _ in range(9)]
+    for centre in combinations(range(1, 10), 3):
+        for i, j, k in permutations(centre):
+            table[i - 1][j - 1][k - 1] = centre
+    return table
+
+
+_CENTRES = _centre_table()
+
+# the slots of the records a reduction builds, set past the frozen
+# __setattr__: the values are derived from checked ints
+_SETTERS = (NumericalClass.d.__set__, NumericalClass.m.__set__,
+            CremonaStep.indices.__set__, CremonaStep.before.__set__, CremonaStep.after.__set__)
 
 
 def _exact(a: NumericalClass) -> tuple[int, list[int]]:
@@ -86,8 +97,12 @@ def quadratic_transform(a: NumericalClass, i: int, j: int, k: int) -> NumericalC
         if not 1 <= t <= 9:
             raise ValueError(f"point indices must be in 1..9, got {t}")
     d, m = _exact(a)
-    d = _transform(d, m, i - 1, j - 1, k - 1)
-    return NumericalClass._of(d, tuple(m))
+    i, j, k = i - 1, j - 1, k - 1
+    mi, mj, mk = m[i], m[j], m[k]
+    m[i] = d - mj - mk
+    m[j] = d - mi - mk
+    m[k] = d - mi - mj
+    return NumericalClass._of(2 * d - mi - mj - mk, tuple(m))
 
 
 def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> ReductionCertificate:
@@ -102,7 +117,8 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
     already, and any other object with `d` and `m` goes through the checked
     constructor.  The classes, steps and certificate derived from it are not
     checked again.  Each step builds its class and its `CremonaStep`, so the
-    certificate is complete when the call returns.
+    certificate is complete when the call returns; steps at the same centre
+    share one `indices` tuple.
     """
     max_steps = strict_int(max_steps, "max_steps")
     if max_steps < 0:
@@ -110,23 +126,36 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
     d, m = _exact(a)
 
     chain: list[CremonaStep] = []
+    append, index, new, centres = chain.append, m.index, _new, _CENTRES
+    set_d, set_m, set_indices, set_before, set_after = _SETTERS
     current = a
     for _ in range(max_steps):
         if d == 1:
             return _certificate(chain, current, True)
-        # largest multiplicities first; the stable sort keeps ties towards
-        # lower indices even with reverse=True
-        i, j, k = sorted(sorted(range(9), key=m.__getitem__, reverse=True)[:3])
-        if m[i] + m[j] + m[k] <= d:
+        # the three largest multiplicities: their values decide whether to
+        # stop, then each takes the first position not yet taken by an equal
+        # value, so ties go towards lower indices
+        top = sorted(m, reverse=True)
+        mi, mj, mk = top[0], top[1], top[2]
+        if mi + mj + mk <= d:
             # Degree would not strictly decrease; the greedy strategy is stuck.
             return _certificate(chain, current, False)
-        d = _transform(d, m, i, j, k)
-        nxt = NumericalClass._of(d, tuple(m))
-        step = _new(CremonaStep)
-        _setattr(step, "indices", (i + 1, j + 1, k + 1))
-        _setattr(step, "before", current)
-        _setattr(step, "after", nxt)
-        chain.append(step)
+        i = index(mi)
+        j = index(mj, i + 1) if mj == mi else index(mj)
+        k = index(mk, j + 1) if mk == mj else index(mk)
+        # the transformation at i, j, k, as in `quadratic_transform`
+        m[i] = d - mj - mk
+        m[j] = d - mi - mk
+        m[k] = d - mi - mj
+        d = 2 * d - mi - mj - mk
+        nxt = new(NumericalClass)
+        set_d(nxt, d)
+        set_m(nxt, tuple(m))
+        step = new(CremonaStep)
+        set_indices(step, centres[i][j][k])
+        set_before(step, current)
+        set_after(step, nxt)
+        append(step)
         current = nxt
     return _certificate(chain, current, d == 1)
 

@@ -212,13 +212,20 @@ def to_numerical_class(spec: PencilSpec) -> NumericalClass:
     with the 9-d plane points listed first.  Tangency conditions are
     invisible to the flat class, so for specs with extra conditions the
     lattice degree-to-base overshoots by that count.
+
+    A `PencilSpec` has checked its fields, so its class is built without a
+    second check; any other object with the same fields goes through the
+    checked constructor.
     """
     degree = model_degree(spec.model)
-    if degree is None:
-        padded = spec.mults + (0,) * (9 - len(spec.mults))
-        return NumericalClass(spec.level, padded)
     n = spec.level
-    return NumericalClass(3 * n, (n,) * (9 - degree) + spec.mults)
+    if degree is None:
+        d, m = n, spec.mults + (0,) * (9 - len(spec.mults))
+    else:
+        d, m = 3 * n, (n,) * (9 - degree) + spec.mults
+    if type(spec) is PencilSpec:
+        return NumericalClass._of(d, m)
+    return NumericalClass(d, m)
 
 
 def _mult_vector(orbits: OrbitStructure, assignments: dict[int, int]) -> tuple[int, ...]:

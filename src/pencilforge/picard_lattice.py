@@ -47,9 +47,12 @@ def strict_fields(obj: object, *names: str) -> None:
             object.__setattr__(obj, name, strict_int(value, name))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class NumericalClass:
-    """A divisor class (d; m1, ..., m9) in the blow-up basis."""
+    """A divisor class (d; m1, ..., m9) in the blow-up basis.
+
+    Slotted: an instance has no `__dict__` and takes no weak references.
+    """
 
     d: int
     m: tuple[int, ...]

@@ -241,6 +241,23 @@ def test_non_string_symbols_raise_type_error(bad):
         FibreConfiguration((("a", bad),))
 
 
+@pytest.mark.parametrize("bad", [5, None, ("a",), b"a"])
+def test_non_string_place_ids_raise_type_error(bad):
+    # 5 and None used to become the ids "5" and "None"
+    with pytest.raises(TypeError, match="place id must be a string"):
+        FibreConfiguration(((bad, "I0*"),))
+    with pytest.raises(TypeError, match="place id must be a string"):
+        BranchLocus(bad, "a")
+    with pytest.raises(TypeError, match="place id must be a string"):
+        BranchLocus("a", bad)
+
+
+def test_index_beyond_the_digit_limit_is_refused_by_name():
+    assert KodairaFibre("I" + "9" * 4300).index == 10 ** 4300 - 1
+    with pytest.raises(ValueError, match="Kodaira symbol I9+\\.\\.\\. has a 4301-digit index; at most 4300"):
+        KodairaFibre("I" + "9" * 4301)
+
+
 def test_each_spelling_resolves_to_one_interned_fibre():
     fibre = KodairaFibre("I2")
     assert KodairaFibre(" I_2 ") is fibre and KodairaFibre("I02") is fibre

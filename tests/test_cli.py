@@ -274,6 +274,22 @@ def test_bad_fibre_symbols_give_one_envelope(capsys, argv, expected):
     assert payload["ok"] is False and set(payload) == {"ok", "error"}
 
 
+def test_place_ids_must_be_strings(capsys):
+    # JSON ids 5 and null used to be read as "5" and "None" and matched
+    # the branch points, answering TrivialProduct with exit 0
+    code, payload = run(capsys, "basechange", "classify", "--config",
+                        '[{"place": 5, "type": "I0*"}, {"place": null, "type": "I0*"}]', "--branch", "5,None")
+    assert code == 2 and "place id must be a string" in payload["error"]["message"]
+
+
+def test_huge_index_names_pencilforge_limit(capsys):
+    code, payload = run(capsys, "height", "contrib", "--type", HUGE, "--i", "0", "--j", "0")
+    message = payload["error"]["message"]
+    assert code == 3 and set(payload) == {"ok", "error"}
+    assert "5000-digit index" in message and "4300" in message
+    assert "set_int_max_str_digits" not in message
+
+
 def test_large_fibres_answer_at_once(capsys):
     # contrib on I240 used to invert a 239 x 239 matrix for about a minute
     start = time.perf_counter()

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import pickle
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -261,21 +265,49 @@ def test_reduce_matches_the_reference_reducer(a, max_steps):
 
 
 def test_reduction_builds_one_class_per_step(monkeypatch):
-    # each step builds its class once, through the unchecked constructor
-    built, checked = [], []
-    unchecked, original = NumericalClass._of, NumericalClass.__init__
-
-    def counting(d, m):
-        built.append(d)
-        return unchecked(d, m)
+    # each step builds its class once and never through the checked
+    # constructor: a step's `after` is the next step's `before`, and the
+    # chain holds one distinct class per step
+    checked = []
+    original = NumericalClass.__init__
 
     def counting_checked(self, d, m):
         checked.append(d)
         original(self, d, m)
 
-    monkeypatch.setattr(NumericalClass, "_of", staticmethod(counting))
     monkeypatch.setattr(NumericalClass, "__init__", counting_checked)
     cert = reduce_to_line(GOLDEN_START)
-    assert cert.success
-    assert len(built) == len(cert.chain) == len(GOLDEN_CHAIN)
+    assert cert.success and len(cert.chain) == len(GOLDEN_CHAIN)
     assert checked == []
+    assert cert.chain[0].before is GOLDEN_START
+    for step, following in zip(cert.chain, cert.chain[1:]):
+        assert step.after is following.before
+    assert cert.terminal is cert.chain[-1].after
+    assert len({id(step.after) for step in cert.chain}) == len(cert.chain)
+
+
+def test_steps_at_one_centre_share_their_indices():
+    first, second = reduce_to_line(GOLDEN_START), reduce_to_line(GOLDEN_START + FIBRE)
+    assert first.chain[0].indices == second.chain[0].indices == (1, 2, 5)
+    assert first.chain[0].indices is second.chain[0].indices
+
+
+def _records():
+    cert = reduce_to_line(GOLDEN_START)
+    return [GOLDEN_START, cert.chain[0], cert]
+
+
+@pytest.mark.parametrize("record", _records(), ids=["NumericalClass", "CremonaStep", "ReductionCertificate"])
+def test_lattice_records_are_slotted_and_frozen(record):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(record)
+    for name in (f.name for f in dataclasses.fields(record)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(record, protocol))
+        assert type(again) is type(record) and again == record and hash(again) == hash(record)
+    for again in (copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is type(record) and again == record and repr(again) == repr(record)
+        assert not hasattr(again, "__dict__")

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from pencilforge.pencils import (
     to_numerical_class,
     verify,
 )
-from pencilforge.picard_lattice import arithmetic_genus, degree_to_base
+from pencilforge.picard_lattice import NumericalClass, arithmetic_genus, degree_to_base
 
 
 def spec(model, level, mults, extra=0):
@@ -288,6 +289,29 @@ def test_lattice_agrees_with_flat_specs():
 def test_del_pezzo_flat_class_matches_worked_example():
     cls = to_numerical_class(spec("dp5", 2, (4, 1, 1, 1, 1)))
     assert cls.to_list() == [6, 2, 2, 2, 2, 4, 1, 1, 1, 1]
+
+
+def test_only_pencil_specs_skip_the_class_check(monkeypatch):
+    # a PencilSpec has checked its fields, so its class is built without a
+    # second check; any other object with the same fields is checked
+    checked = []
+    original = NumericalClass.__init__
+
+    def counting(self, d, m):
+        checked.append(d)
+        original(self, d, m)
+
+    monkeypatch.setattr(NumericalClass, "__init__", counting)
+    for model, level, mults, expected in (("plane", 2, (1, 1, 1, 1, 1), [2, 1, 1, 1, 1, 1, 0, 0, 0, 0]),
+                                          ("dp5", 2, (4, 1, 1, 1, 1), [6, 2, 2, 2, 2, 4, 1, 1, 1, 1])):
+        cls = to_numerical_class(spec(model, level, mults))
+        assert checked == []
+        assert cls.to_list() == expected and type(cls.m) is tuple
+        duck = to_numerical_class(SimpleNamespace(model=model, level=level, mults=mults))
+        assert checked == [expected[0]] and duck == cls
+        checked.clear()
+    with pytest.raises(TypeError):
+        to_numerical_class(SimpleNamespace(model="plane", level=2.0, mults=(1,)))
 
 
 def test_pencil_classes_are_connected():
