@@ -13,8 +13,8 @@ from collections import Counter
 from fractions import Fraction
 
 from pencilforge import (
+    KodairaFibre,
     KummerInputs,
-    ReducibleFibreData,
     SectionIntersections,
     contribution,
     enumerate_section_classes,
@@ -27,7 +27,7 @@ from pencilforge import (
 # Local corrections at the simplest reducible fibres.
 print("corrections at same non-identity component:")
 for symbol in ("I2", "I3", "III", "IV", "I0*", "IV*", "III*", "II*"):
-    top = ReducibleFibreData(symbol).component_count - 1
+    top = KodairaFibre(symbol).components - 1
     values = sorted({contribution(symbol, i, i) for i in range(1, top + 1)})
     print(f"  {symbol:4s}: {', '.join(str(v) for v in values)}")
 

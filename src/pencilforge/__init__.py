@@ -34,9 +34,7 @@ _EXPORTS = {
     "quadratic_transform": "cremona",
     "reduce_to_line": "cremona",
     "KummerInputs": "heights",
-    "ReducibleFibreData": "heights",
     "SectionIntersections": "heights",
-    "cartan_matrix": "heights",
     "contribution": "heights",
     "enumerate_section_classes": "heights",
     "height_pairing": "heights",

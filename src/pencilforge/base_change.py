@@ -30,8 +30,11 @@ from .picard_lattice import strict_int
 
 _IN_RE = re.compile(r"^I(\d+)(\*?)$")
 
-# the longest I_n index read: the interpreter's default limit for int(str)
-_MAX_INDEX_DIGITS = 4300
+# the longest I_n index read: half the interpreter's default limit of 4,300
+# digits for int <-> str, so that derived values such as n + 6 and the
+# corrections i(n - j)/n still print.  A ramified I_n doubles its index, and
+# the image is read under the same cap
+_MAX_INDEX_DIGITS = 2150
 
 # euler and component count of the types that carry no index
 _SIMPLE_TYPES = {
@@ -145,7 +148,10 @@ class FibreConfiguration:
         places = []
         i = 0
         for symbol, count in counts.items():
-            for _ in range(strict_int(count, f"count of {symbol}")):
+            count = strict_int(count, f"count of {symbol}")
+            if count < 0:
+                raise ValueError(f"count of {symbol} must be non-negative, got {count}")
+            for _ in range(count):
                 places.append((f"v{i}", KodairaFibre(symbol)))
                 i += 1
         return cls(tuple(places))

@@ -17,7 +17,7 @@ import sys
 # fractions are imported inside the functions that use them; annotations
 # naming them are never evaluated (postponed annotations).
 from . import cremona
-from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect, strict_int
+from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect
 
 
 class CliError(Exception):
@@ -45,10 +45,9 @@ def _json_arg(value: str):
 
 
 def _class_from_json(payload) -> NumericalClass:
-    # JSON true/false pass operator.index, so entries are checked strictly
     if not isinstance(payload, list):
         raise TypeError(f"expected a JSON array of 10 integers, got {payload!r}")
-    return NumericalClass.from_list([strict_int(x, "class entry") for x in payload])
+    return NumericalClass.from_list(payload)
 
 
 def _class_arg(value: str) -> NumericalClass:

@@ -39,40 +39,6 @@ from .base_change import KodairaFibre
 from .picard_lattice import NumericalClass, intersect, strict_fields, strict_int, weighted_vectors
 
 
-def dynkin_type(symbol: str) -> tuple[str, int]:
-    """Dynkin letter and rank attached to a Kodaira symbol.
-
-    Rank 0 (types I0, I1, II) means the fibre has no non-identity component.
-    """
-    fibre = KodairaFibre(symbol)
-    letter = "A" if not fibre.starred else "E" if fibre.index is None else "D"
-    return letter, fibre.components - 1
-
-
-def _dynkin_edges(letter: str, rank: int) -> list[tuple[int, int]]:
-    if letter == "A":
-        return [(i, i + 1) for i in range(1, rank)]
-    if letter == "D":
-        if rank < 4:
-            raise ValueError(f"D_{rank} not supported, need rank >= 4")
-        return [(i, i + 1) for i in range(1, rank - 2)] + [(rank - 2, rank - 1), (rank - 2, rank)]
-    if letter == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError(f"E_{rank} does not exist")
-        chain = [(1, 3), (3, 4), (4, 5), (5, 6)] + [(i, i + 1) for i in range(6, rank)]
-        return chain + [(2, 4)]
-    raise ValueError(f"unknown Dynkin letter {letter!r}")
-
-
-def cartan_matrix(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of the given simply-laced Dynkin type (possibly 0x0)."""
-    rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for a, b in _dynkin_edges(letter, rank):
-        rows[a - 1][b - 1] = -1
-        rows[b - 1][a - 1] = -1
-    return tuple(tuple(row) for row in rows)
-
-
 def invert_exact(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of a square matrix by Gauss-Jordan elimination over the rationals."""
     n = len(matrix)
@@ -94,31 +60,15 @@ def invert_exact(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Frac
 
 @lru_cache(maxsize=3)
 def _e_inverse(rank: int) -> tuple[tuple[Fraction, ...], ...]:
-    # E6, E7 and E8 only: A_r and D_r have closed forms (see _correction)
-    return invert_exact(cartan_matrix("E", rank))
+    # E6, E7 and E8 only: A_r and D_r have closed forms (see _correction).
+    # The Cartan matrix on the Bourbaki edges 1-3, 2-4 and the chain 3-4-...-rank
+    cartan = [[2 if a == b else 0 for b in range(rank)] for a in range(rank)]
+    for a, b in [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, rank)]:
+        cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -1
+    return invert_exact(cartan)
 
 
-@dataclass(frozen=True)
-class ReducibleFibreData:
-    """A fibre symbol together with its non-identity component intersection matrix."""
-
-    symbol: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbol", KodairaFibre(self.symbol).symbol)
-
-    @property
-    def component_count(self) -> int:
-        return KodairaFibre(self.symbol).components
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """A_v itself: the negated Cartan matrix, negative definite."""
-        letter, rank = dynkin_type(self.symbol)
-        return tuple(tuple(-x for x in row) for row in cartan_matrix(letter, rank))
-
-
-def _correction(fibre: ReducibleFibreData | KodairaFibre | str, i: int, j: int) -> tuple[int, int]:
+def _correction(fibre: KodairaFibre | str, i: int, j: int) -> tuple[int, int]:
     """contr_v(P, Q) as a numerator and a positive denominator, not reduced.
 
     The (i, j) entry of the inverse Cartan matrix of rank r = m_v - 1, in
@@ -130,7 +80,7 @@ def _correction(fibre: ReducibleFibreData | KodairaFibre | str, i: int, j: int) 
       and (r - 2)/4 between the two ends.
     """
     if type(fibre) is not KodairaFibre:
-        fibre = KodairaFibre(getattr(fibre, "symbol", fibre))
+        fibre = KodairaFibre(fibre)
     i = strict_int(i, "component index")
     j = strict_int(j, "component index")
     top = fibre.components - 1
@@ -154,12 +104,12 @@ def _correction(fibre: ReducibleFibreData | KodairaFibre | str, i: int, j: int) 
     return (top if i == j else chain), 4
 
 
-def contribution(fibre: ReducibleFibreData | KodairaFibre | str, i: int, j: int) -> Fraction:
+def contribution(fibre: KodairaFibre | str, i: int, j: int) -> Fraction:
     """Local correction contr_v(P, Q) for sections meeting components i and j.
 
     Zero when either section meets the identity component, otherwise the
     (i, j) entry of -A_v^{-1}, i.e. of the inverse Cartan matrix.  The fibre
-    is a symbol string or an object carrying one; the component indices are
+    is a `KodairaFibre` or its symbol string; the component indices are
     exact ints.
     """
     return Fraction(*_correction(fibre, i, j))
@@ -187,7 +137,7 @@ class SectionIntersections:
 
 
 def height_pairing(data: SectionIntersections, chi: int,
-                   fibres: Sequence[ReducibleFibreData | KodairaFibre | str] = ()) -> Fraction:
+                   fibres: Sequence[KodairaFibre | str] = ()) -> Fraction:
     """Evaluate the height pairing for the given intersection data.
 
     `fibres` lists the reducible fibres; `data.components` must supply one
@@ -237,6 +187,7 @@ def enumerate_section_classes(
 
 def multiplication_pullback_degree(n: int) -> int:
     """Degree n^2 of the preimage of a section under multiplication by n."""
+    n = strict_int(n, "multiplication degree")
     if n < 1:
         raise ValueError(f"multiplication degree needs n >= 1, got {n}")
     return n * n

@@ -18,7 +18,6 @@ Galois orbit, with multiplicities capped at n_max + 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .picard_lattice import (
@@ -45,6 +44,19 @@ _DEL_PEZZO_PAIRS = {
     8: ((8, 13, 7), (22, 13, 23)),
     5: ((2, 4, 1), (10, 4, 11)),
     4: ((1, 2, 0), (7, 2, 8)),
+}
+
+# level, then the multiplicities at the rational point and on the chosen
+# orbit, of the second member of a plane pair, by the size of that orbit;
+# with at most nine points no other size is chosen
+_PLANE_SECOND = {
+    1: (1, 0, 1),  # lines through the second rational point
+    3: (2, 1, 1),  # conics through the rational point and the three
+    4: (2, 0, 1),  # conics through the four
+    5: (3, 2, 1),  # cubics double at the rational point, through the five
+    6: (5, 1, 2),  # quintics through the rational point, double at the six
+    7: (4, 3, 1),  # quartics triple at the rational point, through the seven
+    8: (17, 1, 6),  # degree 17 through it, sextuple at the eight
 }
 
 
@@ -236,13 +248,6 @@ def _mult_vector(orbits: OrbitStructure, assignments: dict[int, int]) -> tuple[i
     return tuple(mults)
 
 
-def _point_vector(orbits: OrbitStructure, positions: Iterable[int]) -> tuple[int, ...]:
-    mults = [0] * orbits.total_points
-    for pos in positions:
-        mults[pos] = 1
-    return tuple(mults)
-
-
 def reduce_orbit_config(orbits: OrbitStructure) -> DegreeSixReduction | Unsupported:
     """Rewrite a degree-six orbit configuration to degree five or four.
 
@@ -301,76 +306,48 @@ def construct_pencils(
             return rewrite
         return construct_pencils(f"dp{rewrite.target_degree}", _drop_orbit(orbits, rewrite.blow_up_orbit))
 
-    (level1, rat1, oth1), (level2, rat2, oth2) = _DEL_PEZZO_PAIRS[degree]
-    assign1 = {i: (rat1 if i == orbits.rational_index else oth1) for i in range(len(orbits.sizes))}
-    assign2 = {i: (rat2 if i == orbits.rational_index else oth2) for i in range(len(orbits.sizes))}
-    first = PencilSpec(model, level1, _mult_vector(orbits, assign1))
-    second = PencilSpec(model, level2, _mult_vector(orbits, assign2))
-    return first, second
+    rational = orbits.rational_index
+    return tuple(
+        PencilSpec(model, level, _mult_vector(
+            orbits, {i: at_rational if i == rational else elsewhere for i in range(len(orbits.sizes))}))
+        for level, at_rational, elsewhere in _DEL_PEZZO_PAIRS[degree])
 
 
 def _construct_plane(
     orbits: OrbitStructure,
     cubic_pattern: tuple[int, int, int] | None,
 ) -> tuple[PencilSpec, PencilSpec] | Unsupported:
-    rational_pos = orbits.point_range(orbits.rational_index)[0]
-    first = PencilSpec(PLANE, 1, _point_vector(orbits, [rational_pos]))
+    rational = orbits.rational_index
+    first = PencilSpec(PLANE, 1, _mult_vector(orbits, {rational: 1}))
 
-    others = [(i, s) for i, s in enumerate(orbits.sizes) if i != orbits.rational_index]
+    others = [(i, s) for i, s in enumerate(orbits.sizes) if i != rational]
     if not others:
         return Unsupported("no orbit besides the contracted zero section")
-    smallest_index, smallest = min(others, key=lambda pair: (pair[1], pair[0]))
-    orbit_pts = orbits.point_range(smallest_index)
-
-    if smallest == 1:
-        second = PencilSpec(PLANE, 1, _point_vector(orbits, [orbit_pts[0]]))
-    elif smallest == 2:
-        extras = [(i, s) for i, s in others if i != smallest_index]
+    orbit, size = min(others, key=_by_size)
+    if size == 2:
+        extras = [(i, s) for i, s in others if i != orbit]
         if not extras:
-            second = _tangent_conics(orbits, smallest_index, rational_pos, cubic_pattern)
-            if isinstance(second, Unsupported):
-                return second
-        else:
-            extra_index, extra = min(extras, key=lambda pair: (pair[1], pair[0]))
-            extra_pts = orbits.point_range(extra_index)
-            if extra in (2, 4):
-                # conics through four points: the 2-orbit plus an extra
-                # 2-orbit, or an extra 4-orbit on its own
-                pts = list(orbit_pts) + list(extra_pts) if extra == 2 else list(extra_pts)
-                second = PencilSpec(PLANE, 2, _point_vector(orbits, pts))
-            elif extra == 3:
-                second = PencilSpec(PLANE, 2, _point_vector(orbits, [rational_pos, *extra_pts]))
-            elif extra == 5:
-                second = _singular_cubics(orbits, rational_pos, extra_pts)
-            elif extra == 6:
-                second = _singular_quintics(orbits, rational_pos, extra_pts)
-            else:
-                return Unsupported(f"no construction for a two-point orbit next to a {extra}-point orbit")
-    elif smallest == 3:
-        second = PencilSpec(PLANE, 2, _point_vector(orbits, [rational_pos, *orbit_pts]))
-    elif smallest == 4:
-        second = PencilSpec(PLANE, 2, _point_vector(orbits, orbit_pts))
-    elif smallest == 5:
-        second = _singular_cubics(orbits, rational_pos, orbit_pts)
-    elif smallest == 6:
-        second = _singular_quintics(orbits, rational_pos, orbit_pts)
-    elif smallest == 7:
-        # quartics triple at the rational point, through the seven
-        mults = _mult_vector(orbits, {orbits.rational_index: 3, smallest_index: 1})
-        second = PencilSpec(PLANE, 4, mults)
-    else:
-        # degree 17, sextuple at the eight conjugate points, through p1
-        mults = _mult_vector(orbits, {orbits.rational_index: 1, smallest_index: 6})
-        second = PencilSpec(PLANE, 17, mults)
-    return first, second
+            return first, _tangent_conics(orbits, orbit, cubic_pattern)
+        extra, extra_size = min(extras, key=_by_size)
+        if extra_size == 2:
+            # conics through the four points of the two 2-orbits
+            return first, PencilSpec(PLANE, 2, _mult_vector(orbits, {orbit: 1, extra: 1}))
+        # otherwise the 2-orbit is passed over for the next smallest orbit
+        orbit, size = extra, extra_size
+    level, at_rational, on_orbit = _PLANE_SECOND[size]
+    return first, PencilSpec(PLANE, level, _mult_vector(orbits, {rational: at_rational, orbit: on_orbit}))
+
+
+def _by_size(pair: tuple[int, int]) -> tuple[int, int]:
+    # (orbit index, size) ordered by size, ties to the lower index
+    return pair[1], pair[0]
 
 
 def _tangent_conics(
     orbits: OrbitStructure,
     two_orbit: int,
-    rational_pos: int,
     cubic_pattern: tuple[int, int, int] | None,
-) -> PencilSpec | Unsupported:
+) -> PencilSpec:
     if cubic_pattern is None:
         raise ValueError(
             "a plane configuration with a single two-point orbit needs cubic_pattern, "
@@ -378,30 +355,14 @@ def _tangent_conics(
     pattern = tuple(strict_int(x, "cubic_pattern entry") for x in cubic_pattern)
     if pattern not in _CUBIC_PATTERNS:
         raise ValueError(f"cubic_pattern must be one of {sorted(_CUBIC_PATTERNS)}, got {pattern}")
-    pts = orbits.point_range(two_orbit)
     if pattern == (1, 4, 4):
         # conics through the conjugate pair, tangent to the common fibre
         # tangents there
-        return PencilSpec(PLANE, 2, _point_vector(orbits, pts), extra_conditions=2)
+        return PencilSpec(PLANE, 2, _mult_vector(orbits, {two_orbit: 1}), extra_conditions=2)
     # conics through all three points, tangent to the common tangent at the
     # rational one
-    return PencilSpec(PLANE, 2, _point_vector(orbits, [rational_pos, *pts]), extra_conditions=1)
-
-
-def _singular_cubics(orbits: OrbitStructure, rational_pos: int, pts: Sequence[int]) -> PencilSpec:
-    mults = [0] * orbits.total_points
-    mults[rational_pos] = 2
-    for p in pts:
-        mults[p] = 1
-    return PencilSpec(PLANE, 3, tuple(mults))
-
-
-def _singular_quintics(orbits: OrbitStructure, rational_pos: int, pts: Sequence[int]) -> PencilSpec:
-    mults = [0] * orbits.total_points
-    mults[rational_pos] = 1
-    for p in pts:
-        mults[p] = 2
-    return PencilSpec(PLANE, 5, tuple(mults))
+    mults = _mult_vector(orbits, {orbits.rational_index: 1, two_orbit: 1})
+    return PencilSpec(PLANE, 2, mults, extra_conditions=1)
 
 
 def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[PencilSpec]:

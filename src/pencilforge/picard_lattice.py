@@ -20,6 +20,7 @@ from operator import index, mul
 
 _new = object.__new__
 _setattr = object.__setattr__
+_INT = frozenset({int})
 
 
 def strict_int(value: object, name: str) -> int:
@@ -58,10 +59,12 @@ class NumericalClass:
     m: tuple[int, ...]
 
     def __init__(self, d: int, m: Iterable[int]) -> None:
-        # operator.index keeps the lattice exact: true integers only.  Each
-        # field is set once; this runs on every Cremona step
-        m = tuple(map(index, m))
-        d = index(d)
+        # strict_int keeps the lattice exact: true integers only, bool
+        # refused.  An all-int vector, the common case, is kept as it is
+        m = tuple(m)
+        if not _INT.issuperset(map(type, m)):
+            m = tuple([strict_int(x, "multiplicity") for x in m])
+        d = strict_int(d, "degree")
         if len(m) != 9:
             raise ValueError(f"multiplicity vector must have length 9, got {len(m)}")
         object.__setattr__(self, "d", d)
@@ -210,6 +213,7 @@ def weighted_vectors(weights: Sequence[int], square_sum: int, linear_sum: int,
 def mw_rank_bound(s: int) -> int:
     """Upper bound s - 1 for the geometric Mordell-Weil rank of a surface
     induced by a cubic pencil with s distinct base points."""
+    s = strict_int(s, "base point count")
     if not 1 <= s <= 9:
         raise ValueError(f"a cubic pencil has 1..9 distinct base points, got {s}")
     return s - 1
@@ -222,6 +226,7 @@ def unirationality_check(pic_rank_over_k: int) -> bool:
     leaves degree at least three, and such surfaces with a rational point
     are unirational.
     """
+    pic_rank_over_k = strict_int(pic_rank_over_k, "Picard rank")
     if not 1 <= pic_rank_over_k <= 10:
         raise ValueError(f"Picard rank of a rational elliptic surface is in 1..10, got {pic_rank_over_k}")
     return pic_rank_over_k >= 5

@@ -14,6 +14,7 @@ from math import isqrt
 from pencilforge.base_change import (
     BranchLocus,
     FibreConfiguration,
+    KodairaFibre,
     SurfaceClass,
     base_changed_configuration,
     classify_quadratic_base_change,
@@ -22,7 +23,6 @@ from pencilforge.base_change import (
 )
 from pencilforge.cremona import quadratic_transform, reduce_to_line
 from pencilforge.heights import (
-    ReducibleFibreData,
     SectionIntersections,
     contribution,
     enumerate_section_classes,
@@ -220,7 +220,7 @@ def test_criterion_4_contribution_oracle_equivalence():
         C = fresh_cartan(symbol)
         inverse = cofactor_inverse(C)
         size = len(C)
-        assert ReducibleFibreData(symbol).component_count == size + 1
+        assert KodairaFibre(symbol).components == size + 1
         for i in range(size + 1):
             assert contribution(symbol, i, 0) == 0
             assert contribution(symbol, 0, i) == 0
@@ -244,7 +244,7 @@ def test_criterion_5_height_properties():
         fibres = [rng.choice(symbols) for _ in range(rng.randint(0, 4))]
         forward, backward = [], []
         for symbol in fibres:
-            top = ReducibleFibreData(symbol).component_count - 1
+            top = KodairaFibre(symbol).components - 1
             i, j = rng.randint(0, top), rng.randint(0, top)
             forward.append((i, j))
             backward.append((j, i))

@@ -129,6 +129,10 @@ def test_configuration_validation_and_serialization():
     for count in (2.0, True, "2"):
         with pytest.raises(TypeError):
             FibreConfiguration.from_counts({"I0*": 1, "I1": count})
+    # {"I1": -3, "I0*": 2} used to drop the I1 entry and classify (I0*, I0*)
+    with pytest.raises(ValueError, match="count of I1 must be non-negative, got -3"):
+        FibreConfiguration.from_counts({"I1": -3, "I0*": 2})
+    assert euler_total(FibreConfiguration.from_counts({"I1": 0, "I0*": 2})) == 12
 
 
 # symbols by Euler number, hand-listed, for the exhaustive sweep
@@ -253,9 +257,10 @@ def test_non_string_place_ids_raise_type_error(bad):
 
 
 def test_index_beyond_the_digit_limit_is_refused_by_name():
-    assert KodairaFibre("I" + "9" * 4300).index == 10 ** 4300 - 1
-    with pytest.raises(ValueError, match="Kodaira symbol I9+\\.\\.\\. has a 4301-digit index; at most 4300"):
-        KodairaFibre("I" + "9" * 4301)
+    assert KodairaFibre("I" + "9" * 2150).index == 10 ** 2150 - 1
+    with pytest.raises(ValueError, match="Kodaira symbol I9+\\.\\.\\. has a 2151-digit index; at most 2150"):
+        KodairaFibre("I" + "9" * 2151)
+
 
 
 def test_each_spelling_resolves_to_one_interned_fibre():

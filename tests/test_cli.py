@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -174,6 +175,7 @@ def test_domain_violation_exits_three(capsys):
     ["pencil", "verify", "--spec", '{"model": "plane", "level": 2, "mults": [1], "extra_conditions": 0.5}'],
     ["class", "--class", "[1, true, 0, 0, 0, 0, 0, 0, 0, 0]"],
     ["class", "--class", "[1.0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"],
+    ["class", "--class", "[true, 0, 0, 0, 0, 0, 0, 0, 0, 0]"],
     ["cremona", "--class", "[false, 0, 0, 0, 0, 0, 0, 0, 0, 0]"],
     ["height", "pair", "--data", '{"PO": true, "QO": 1.5, "PQ": 0}'],
     ["height", "pair", "--data", '{"PO": 0, "QO": 0, "PQ": -1, "components": [[1, 1.0]]}', "--fibres", '["I2"]'],
@@ -286,8 +288,39 @@ def test_huge_index_names_pencilforge_limit(capsys):
     code, payload = run(capsys, "height", "contrib", "--type", HUGE, "--i", "0", "--j", "0")
     message = payload["error"]["message"]
     assert code == 3 and set(payload) == {"ok", "error"}
-    assert "5000-digit index" in message and "4300" in message
+    assert "5000-digit index" in message and "at most 2150 digits" in message
     assert "set_int_max_str_digits" not in message
+
+
+CAP = "I" + "9" * 2150  # the longest index read
+
+
+def test_derived_values_at_the_index_cap_print(capsys):
+    # with a 4300-digit cap, I_2n and the corrections i(n - j)/n could pass
+    # the interpreter's int printing limit and exit 3
+    n = 10 ** 2150 - 1
+    code, payload = run(capsys, "basechange", "transform", "--type", CAP + "*")
+    assert code == 0 and payload["result"] == {"fibres": [CAP + "*"] * 2, "euler": 2 * (n + 6)}
+    code, payload = run(capsys, "height", "contrib", "--type", CAP, "--i", "5", "--j", "7")
+    assert code == 0 and Fraction(payload["result"]) == Fraction(5 * (n - 7), n)
+    # the largest correction: its numerator has 4300 digits
+    k = n // 2
+    code, payload = run(capsys, "height", "contrib", "--type", CAP, "--i", str(k), "--j", str(k))
+    assert code == 0 and Fraction(payload["result"]) == Fraction(k * (n - k), n)
+    assert len(payload["result"].split("/")[0]) == 4300
+    # a ramified I_n doubles: the image is read under the same cap
+    fits = "I" + "4" * 2150  # its double still has 2150 digits
+    code, payload = run(capsys, "basechange", "transform", "--type", fits, "--ramified")
+    assert code == 0 and payload["result"] == {"fibres": ["I" + "8" * 2150], "euler": int("8" * 2150)}
+    code, payload = run(capsys, "basechange", "transform", "--type", CAP, "--ramified")
+    assert code == 3 and "2151-digit index; at most 2150 digits" in payload["error"]["message"]
+
+
+def test_negative_counts_exit_three(capsys):
+    # {"I1": -3, "I0*": 2} used to answer TrivialProduct with exit 0
+    code, payload = run(capsys, "basechange", "classify", "--config", '{"I1": -3, "I0*": 2}',
+                        "--branch", "v0,v1")
+    assert code == 3 and "count of I1 must be non-negative, got -3" in payload["error"]["message"]
 
 
 def test_large_fibres_answer_at_once(capsys):

@@ -186,14 +186,26 @@ def test_max_steps_takes_an_exact_integer_only():
             is_connected_class(GOLDEN_START, bad)
 
 
+class Index:
+    """An integer-like value that is not an int: it only has `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_duck_typed_classes_are_read_as_exact_integers_once():
-    duck = SimpleNamespace(d=6, m=(2, 2, 2, 2, 4, True, True, True, True))
+    duck = SimpleNamespace(d=Index(6), m=(2, 2, 2, 2, 4, Index(1), 1, 1, 1))
     cert = reduce_to_line(duck)
     assert [s.after for s in cert.chain] == [cls for _, cls in GOLDEN_CHAIN]
     assert all(exact(s.after) for s in cert.chain)
     assert exact(quadratic_transform(duck, 1, 2, 5))
-    # a float raises at entry, even where no step would be taken
-    for d, m in ((6.0, GOLDEN_START.m), (1.0, GOLDEN_START.m), (6, (2.0,) + GOLDEN_START.m[1:])):
+    # a float or a bool raises at entry, even where no step would be taken
+    # (a duck holding True used to be reduced as if it held 1)
+    for d, m in ((6.0, GOLDEN_START.m), (1.0, GOLDEN_START.m), (6, (2.0,) + GOLDEN_START.m[1:]),
+                 (6, (2, 2, 2, 2, 4, True, True, True, True)), (True, (0,) * 8 + (1,))):
         with pytest.raises(TypeError):
             reduce_to_line(SimpleNamespace(d=d, m=m))
         with pytest.raises(TypeError):

@@ -10,11 +10,8 @@ from pencilforge import heights
 from pencilforge.base_change import KodairaFibre
 from pencilforge.heights import (
     KummerInputs,
-    ReducibleFibreData,
     SectionIntersections,
-    cartan_matrix,
     contribution,
-    dynkin_type,
     enumerate_section_classes,
     height_pairing,
     invert_exact,
@@ -113,8 +110,8 @@ def test_contributions_match_fresh_matrix_inversion(symbol):
     A = fibre_component_matrix(symbol)
     inverse = adjugate_inverse(A)
     size = len(A)
-    data = ReducibleFibreData(symbol)
-    assert data.component_count == size + 1
+    data = KodairaFibre(symbol)
+    assert data.components == size + 1
     for i in range(size + 1):
         assert contribution(data, 0, i) == 0
         assert contribution(data, i, 0) == 0
@@ -128,9 +125,15 @@ def test_contributions_match_fresh_matrix_inversion(symbol):
     ("I0*", 4), ("I3*", 4), ("IV*", 3), ("III*", 2), ("II*", 1),
 ])
 def test_cartan_determinants(symbol, expected_det):
-    # known determinants pin the Dynkin diagram shape
-    letter, rank = dynkin_type(symbol)
-    assert det([list(r) for r in cartan_matrix(letter, rank)]) == expected_det
+    # known determinants pin the Dynkin diagram shape: the corrections form
+    # the inverse Cartan matrix, so inverting them gives the Cartan matrix
+    rank = KodairaFibre(symbol).components - 1
+    corrections = [[contribution(symbol, i, j) for j in range(1, rank + 1)] for i in range(1, rank + 1)]
+    cartan = [list(row) for row in invert_exact(corrections)]
+    assert all(type(x) is Fraction and x.denominator == 1 for row in cartan for x in row)
+    assert all(cartan[i][i] == 2 for i in range(rank))
+    assert all(cartan[i][j] in (0, -1) for i in range(rank) for j in range(rank) if i != j)
+    assert det(cartan) == expected_det
 
 
 def test_contribution_examples():
@@ -145,12 +148,14 @@ def test_contribution_examples():
 
 
 def test_shipped_matrix_is_negative_cartan():
-    data = ReducibleFibreData("IV")
-    assert data.matrix == ((-2, 1), (1, -2))
-    assert invert_exact(data.matrix) == (
+    # A_v of a IV fibre is the negated A_2 Cartan matrix; the corrections
+    # are the entries of -A_v^{-1}
+    inverse = invert_exact(((-2, 1), (1, -2)))
+    assert inverse == (
         (Fraction(-2, 3), Fraction(-1, 3)),
         (Fraction(-1, 3), Fraction(-2, 3)),
     )
+    assert all(contribution("IV", i, j) == -inverse[i - 1][j - 1] for i in (1, 2) for j in (1, 2))
 
 
 def test_invert_exact_rejects_singular():
@@ -177,7 +182,7 @@ def test_height_with_one_i2_correction():
 def pairing_data(draw):
     # reducible fibres, each with the components met by P and Q
     fibres = draw(st.lists(st.sampled_from(ORACLE_SYMBOLS), max_size=4))
-    comps = [draw(st.tuples(*[st.integers(0, ReducibleFibreData(f).component_count - 1)] * 2))
+    comps = [draw(st.tuples(*[st.integers(0, KodairaFibre(f).components - 1)] * 2))
              for f in fibres]
     zeros = draw(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 5)))
     return fibres, comps, zeros, draw(st.integers(1, 3))
@@ -402,7 +407,6 @@ def test_interned_fibres_match_kodaira_table_and_inverse_cartan(raw, data):
     assert (fibre.index, fibre.starred, fibre.euler, fibre.components) == kodaira_row(canonical)
     assert fibre.reduced is not fibre.starred
     rank = fibre.components - 1
-    assert dynkin_type(raw)[1] == rank
     if canonical in SIMPLE_KODAIRA:
         assert rank == SIMPLE_KODAIRA[canonical][2]
     i = data.draw(st.integers(0, rank))

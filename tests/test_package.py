@@ -13,9 +13,9 @@ SRC = Path(pencilforge.__file__).resolve().parents[1]
 PUBLIC_API = [
     "BranchLocus", "CANONICAL", "CremonaStep", "FIBRE", "FibreConfiguration", "FibreProductKind",
     "KodairaFibre", "KummerInputs", "LINE", "NumericalClass", "OrbitStructure", "PencilReport",
-    "PencilSpec", "ReducibleFibreData", "ReductionCertificate", "SectionIntersections",
+    "PencilSpec", "ReductionCertificate", "SectionIntersections",
     "SurfaceClass", "Unsupported", "arithmetic_genus", "base_changed_configuration",
-    "cartan_matrix", "classify_quadratic_base_change", "construct_pencils", "contribution",
+    "classify_quadratic_base_change", "construct_pencils", "contribution",
     "degree_to_base", "degree_to_base_spec", "dim_lower_bound", "enumerate_section_classes",
     "euler_total", "exceptional", "fibre_product_genus", "genus_upper_bound", "height_pairing",
     "intersect", "invert_exact", "is_connected_class", "kummer_bound",
@@ -33,7 +33,7 @@ def run_fresh(code):
 
 
 def test_public_api_is_unchanged():
-    assert len(PUBLIC_API) == 47
+    assert len(PUBLIC_API) == 45
     assert pencilforge.__all__ == PUBLIC_API
 
 

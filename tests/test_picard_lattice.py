@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pencilforge.heights import multiplication_pullback_degree
 from pencilforge.picard_lattice import (
     CANONICAL,
     FIBRE,
@@ -120,6 +121,15 @@ def test_class_arithmetic_and_serialization():
         NumericalClass.from_list([1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+@pytest.mark.parametrize("function", [multiplication_pullback_degree, mw_rank_bound, unirationality_check])
+def test_small_bounds_take_exact_integers_only(function, bad):
+    # multiplication_pullback_degree(2.5) used to return 6.25, mw_rank_bound(2.5)
+    # 1.5 and unirationality_check(5.5) True; each read True as 1
+    with pytest.raises(TypeError, match="must be an integer"):
+        function(bad)
+
+
 def test_mw_rank_bound():
     assert mw_rank_bound(9) == 8
     assert mw_rank_bound(1) == 0
@@ -206,6 +216,10 @@ def test_numerical_class_rejects_non_integers_and_wrong_lengths():
         NumericalClass(1, (0.5,) * 8)
     with pytest.raises(TypeError):
         NumericalClass(1.5, (0,) * 8)
+    # NumericalClass(True, (True,) + (0,) * 8) used to be read as (1; 1, 0, ...)
+    for d, m in ((True, (0,) * 9), (1, (True,) + (0,) * 8), (1, [0] * 8 + [False])):
+        with pytest.raises(TypeError, match="must be an integer"):
+            NumericalClass(d, m)
     for m in ((), (0,) * 8, (0,) * 10):
         with pytest.raises(ValueError):
             NumericalClass(1, m)
