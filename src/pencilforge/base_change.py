@@ -220,7 +220,13 @@ def transform_fibre(fibre: KodairaFibre, ramified: bool) -> list[KodairaFibre]:
     n = fibre.index
     if n is not None:
         # I_n doubles; I_n* loses its star and doubles (I0* smooths out).
-        return [KodairaFibre(f"I{2 * n}")]
+        try:
+            return [KodairaFibre(f"I{2 * n}")]
+        except ValueError:
+            # the only failure: the doubled index is past the digit cap
+            raise ValueError(
+                f"Kodaira symbol {fibre.symbol[:12]}... ramifies to I_2n, which has a "
+                f"{len(str(2 * n))}-digit index; at most {_MAX_INDEX_DIGITS} digits are accepted") from None
     if fibre.starred:
         return [KodairaFibre(_RAMIFIED_STARRED[fibre.symbol])]
     return [KodairaFibre(_RAMIFIED_REDUCED[fibre.symbol])]

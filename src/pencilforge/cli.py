@@ -20,10 +20,21 @@ from . import cremona
 from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect
 
 
+# the interpreter's default limit on the digits of an int read from or
+# written as text: pencilforge reads and prints no longer integer
+_MAX_INT_DIGITS = 4300
+
+
 class CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
+
+
+class _DigitLimit(CliError):
+    # an integer past _MAX_INT_DIGITS: in an input (exit 2) or in the result
+    # (exit 3); `main` names the subcommand in the message
+    pass
 
 
 def _text_arg(value: str) -> str:
@@ -42,6 +53,10 @@ def _json_arg(value: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(2, f"malformed JSON: {exc}") from exc
+    except ValueError as exc:
+        # json.loads raises no other ValueError: an integer literal is past
+        # the interpreter's digit limit
+        raise _DigitLimit(2, "an input") from exc
 
 
 def _class_from_json(payload) -> NumericalClass:
@@ -185,7 +200,7 @@ def _cmd_basechange_transform(args) -> dict:
     return {"fibres": [f.symbol for f in images], "euler": sum(f.euler for f in images)}
 
 
-def _cmd_height_pair(args) -> str:
+def _cmd_height_pair(args) -> Fraction:
     from . import heights
 
     payload = _json_arg(args.data)
@@ -204,13 +219,13 @@ def _cmd_height_pair(args) -> str:
     fibres = _json_arg(args.fibres) if args.fibres else []
     if not isinstance(fibres, list):
         raise CliError(2, "--fibres must be a JSON list of fibre symbols")
-    return str(heights.height_pairing(data, args.chi, fibres))
+    return heights.height_pairing(data, args.chi, fibres)
 
 
-def _cmd_height_contrib(args) -> str:
+def _cmd_height_contrib(args) -> Fraction:
     from . import heights
 
-    return str(heights.contribution(args.type, args.i, args.j))
+    return heights.contribution(args.type, args.i, args.j)
 
 
 def _cmd_sections(args) -> dict:
@@ -325,8 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(payload: dict, pretty: bool) -> str:
+    # a rational result prints as the string "p/q"
+    try:
+        return json.dumps(payload, indent=2 if pretty else None, default=str)
+    except ValueError as exc:
+        # json.dumps raises no other ValueError here: an integer in the
+        # result is past the interpreter's digit limit
+        raise _DigitLimit(3, "the result") from exc
+
+
 def _emit(payload: dict, pretty: bool) -> None:
-    print(json.dumps(payload, indent=2 if pretty else None))
+    print(_dumps(payload, pretty))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -335,6 +360,13 @@ def main(argv: list[str] | None = None) -> int:
     pretty = args.pretty
     try:
         result = args.handler(args)
+        text = _dumps({"ok": True, "result": result}, pretty)
+    except _DigitLimit as exc:
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        _emit({"ok": False, "error": {"message": (
+            f"{command}: {exc} holds an integer of more than {_MAX_INT_DIGITS} digits, "
+            f"the most pencilforge reads or prints")}}, pretty)
+        return exc.code
     except CliError as exc:
         _emit({"ok": False, "error": {"message": str(exc)}}, pretty)
         return exc.code
@@ -345,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         # well-formed JSON of the wrong shape
         _emit({"ok": False, "error": {"message": f"malformed input: {exc!r}"}}, pretty)
         return 2
-    _emit({"ok": True, "result": result}, pretty)
+    print(text)
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .picard_lattice import NumericalClass, strict_int
+from .picard_lattice import NumericalClass, _set_d, _set_m, strict_int
 
 DEFAULT_MAX_STEPS = 64
 
@@ -70,7 +70,7 @@ _CENTRES = _centre_table()
 
 # the slots of the records a reduction builds, set past the frozen
 # __setattr__: the values are derived from checked ints
-_SETTERS = (NumericalClass.d.__set__, NumericalClass.m.__set__,
+_SETTERS = (_set_d, _set_m,
             CremonaStep.indices.__set__, CremonaStep.before.__set__, CremonaStep.after.__set__)
 
 
@@ -90,19 +90,33 @@ def quadratic_transform(a: NumericalClass, i: int, j: int, k: int) -> NumericalC
     becomes d minus the other two; remaining entries are untouched.  The map
     is an involution and preserves all intersection numbers.
     """
-    i, j, k = strict_int(i, "point index"), strict_int(j, "point index"), strict_int(k, "point index")
-    if len({i, j, k}) != 3:
-        raise ValueError(f"Cremona centre needs three distinct indices, got {(i, j, k)}")
-    for t in (i, j, k):
-        if not 1 <= t <= 9:
-            raise ValueError(f"point indices must be in 1..9, got {t}")
+    # exact ints in 1..9 name a centre in the table exactly when they are
+    # distinct; anything else takes the checks in `_centre`
+    if not (type(i) is int and type(j) is int and type(k) is int
+            and 0 < i < 10 and 0 < j < 10 and 0 < k < 10 and _CENTRES[i - 1][j - 1][k - 1]):
+        i, j, k = _centre(i, j, k)
     d, m = _exact(a)
     i, j, k = i - 1, j - 1, k - 1
     mi, mj, mk = m[i], m[j], m[k]
     m[i] = d - mj - mk
     m[j] = d - mi - mk
     m[k] = d - mi - mj
-    return NumericalClass._of(2 * d - mi - mj - mk, tuple(m))
+    # built from checked ints, as in `reduce_to_line`
+    new = _new(NumericalClass)
+    _set_d(new, 2 * d - mi - mj - mk)
+    _set_m(new, tuple(m))
+    return new
+
+
+def _centre(i: object, j: object, k: object) -> tuple[int, int, int]:
+    # three point indices as exact ints, distinct and in 1..9
+    i, j, k = strict_int(i, "point index"), strict_int(j, "point index"), strict_int(k, "point index")
+    if len({i, j, k}) != 3:
+        raise ValueError(f"Cremona centre needs three distinct indices, got {(i, j, k)}")
+    for t in (i, j, k):
+        if not 1 <= t <= 9:
+            raise ValueError(f"point indices must be in 1..9, got {t}")
+    return i, j, k
 
 
 def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> ReductionCertificate:

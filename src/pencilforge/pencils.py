@@ -28,6 +28,7 @@ from .picard_lattice import (
     riemann_roch,
     strict_fields,
     strict_int,
+    strict_ints,
     weighted_vectors,
 )
 
@@ -86,11 +87,13 @@ class OrbitStructure:
     rational_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(strict_int(s, "orbit size") for s in self.sizes))
-        strict_fields(self, "rational_index")
-        if not self.sizes:
+        sizes = strict_ints(self.sizes, "orbit size")
+        _setattr(self, "sizes", sizes)
+        if type(self.rational_index) is not int:
+            strict_fields(self, "rational_index")
+        if not sizes:
             raise ValueError("orbit structure needs at least one orbit")
-        if any(s < 1 for s in self.sizes):
+        if min(sizes) < 1:
             raise ValueError(f"orbit sizes must be positive, got {self.sizes}")
         if not 0 <= self.rational_index < len(self.sizes):
             raise ValueError(f"rational orbit index {self.rational_index} out of range")
@@ -121,11 +124,13 @@ class PencilSpec:
 
     def __post_init__(self) -> None:
         degree = model_degree(self.model)
-        strict_fields(self, "level", "extra_conditions")
-        object.__setattr__(self, "mults", tuple(strict_int(x, "multiplicity") for x in self.mults))
+        if type(self.level) is not int or type(self.extra_conditions) is not int:
+            strict_fields(self, "level", "extra_conditions")
+        mults = strict_ints(self.mults, "multiplicity")
+        _setattr(self, "mults", mults)
         if self.level < 1:
             raise ValueError(f"level must be at least 1, got {self.level}")
-        if any(x < 0 for x in self.mults):
+        if mults and min(mults) < 0:
             raise ValueError(f"multiplicities must be non-negative, got {self.mults}")
         if self.extra_conditions < 0:
             raise ValueError(f"extra_conditions must be non-negative, got {self.extra_conditions}")
@@ -212,7 +217,13 @@ def verify(spec: PencilSpec) -> PencilReport:
     deg = degree_to_base(cls) - spec.extra_conditions
     # Riemann-Roch exceeds the arithmetic genus by exactly c.F
     dim = genus + deg
-    return PencilReport(dim, genus, deg, dim >= 2 and genus <= 0 and deg == 2)
+    # built from the ints above: the generated __init__ would only copy them
+    report = _new(PencilReport)
+    _setattr(report, "dim_lower_bound", dim)
+    _setattr(report, "genus_upper_bound", genus)
+    _setattr(report, "degree_to_base", deg)
+    _setattr(report, "is_valid_pair_member", dim >= 2 and genus <= 0 and deg == 2)
+    return report
 
 
 def to_numerical_class(spec: PencilSpec) -> NumericalClass:
@@ -240,11 +251,23 @@ def to_numerical_class(spec: PencilSpec) -> NumericalClass:
     return NumericalClass(d, m)
 
 
+def _spec(model: str, level: int, mults: tuple[int, ...], extra: int = 0) -> PencilSpec:
+    # a spec from values the library derived from checked ones: a model that
+    # `model_degree` accepted, exact ints and a point count already matched
+    # to the model, so `__post_init__` has nothing to check
+    spec = _new(PencilSpec)
+    _setattr(spec, "model", model)
+    _setattr(spec, "level", level)
+    _setattr(spec, "mults", mults)
+    _setattr(spec, "extra_conditions", extra)
+    return spec
+
+
 def _mult_vector(orbits: OrbitStructure, assignments: dict[int, int]) -> tuple[int, ...]:
-    mults = [0] * orbits.total_points
-    for orbit, value in assignments.items():
-        for pos in orbits.point_range(orbit):
-            mults[pos] = value
+    # orbits are laid out consecutively; an orbit not assigned carries 0
+    mults: list[int] = []
+    for orbit, size in enumerate(orbits.sizes):
+        mults += [assignments.get(orbit, 0)] * size
     return tuple(mults)
 
 
@@ -308,7 +331,7 @@ def construct_pencils(
 
     rational = orbits.rational_index
     return tuple(
-        PencilSpec(model, level, _mult_vector(
+        _spec(model, level, _mult_vector(
             orbits, {i: at_rational if i == rational else elsewhere for i in range(len(orbits.sizes))}))
         for level, at_rational, elsewhere in _DEL_PEZZO_PAIRS[degree])
 
@@ -318,7 +341,7 @@ def _construct_plane(
     cubic_pattern: tuple[int, int, int] | None,
 ) -> tuple[PencilSpec, PencilSpec] | Unsupported:
     rational = orbits.rational_index
-    first = PencilSpec(PLANE, 1, _mult_vector(orbits, {rational: 1}))
+    first = _spec(PLANE, 1, _mult_vector(orbits, {rational: 1}))
 
     others = [(i, s) for i, s in enumerate(orbits.sizes) if i != rational]
     if not others:
@@ -331,11 +354,11 @@ def _construct_plane(
         extra, extra_size = min(extras, key=_by_size)
         if extra_size == 2:
             # conics through the four points of the two 2-orbits
-            return first, PencilSpec(PLANE, 2, _mult_vector(orbits, {orbit: 1, extra: 1}))
+            return first, _spec(PLANE, 2, _mult_vector(orbits, {orbit: 1, extra: 1}))
         # otherwise the 2-orbit is passed over for the next smallest orbit
         orbit, size = extra, extra_size
     level, at_rational, on_orbit = _PLANE_SECOND[size]
-    return first, PencilSpec(PLANE, level, _mult_vector(orbits, {rational: at_rational, orbit: on_orbit}))
+    return first, _spec(PLANE, level, _mult_vector(orbits, {rational: at_rational, orbit: on_orbit}))
 
 
 def _by_size(pair: tuple[int, int]) -> tuple[int, int]:
@@ -358,11 +381,11 @@ def _tangent_conics(
     if pattern == (1, 4, 4):
         # conics through the conjugate pair, tangent to the common fibre
         # tangents there
-        return PencilSpec(PLANE, 2, _mult_vector(orbits, {two_orbit: 1}), extra_conditions=2)
+        return _spec(PLANE, 2, _mult_vector(orbits, {two_orbit: 1}), 2)
     # conics through all three points, tangent to the common tangent at the
     # rational one
     mults = _mult_vector(orbits, {orbits.rational_index: 1, two_orbit: 1})
-    return PencilSpec(PLANE, 2, mults, extra_conditions=1)
+    return _spec(PLANE, 2, mults, 1)
 
 
 def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[PencilSpec]:
@@ -393,10 +416,6 @@ def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[Penci
         square_sum = intersect(c0, c0)
         linear_sum = degree_to_base(c0) - 2
         for per_orbit in weighted_vectors(sizes, square_sum, linear_sum, 0, n_max + 1):
-            spec = _new(PencilSpec)
-            _setattr(spec, "model", model)
-            _setattr(spec, "level", level)
-            _setattr(spec, "mults", tuple(x for x, size in zip(per_orbit, sizes) for _ in range(size)))
-            _setattr(spec, "extra_conditions", 0)
-            results.append(spec)
+            mults = tuple(x for x, size in zip(per_orbit, sizes) for _ in range(size))
+            results.append(_spec(model, level, mults))
     return results

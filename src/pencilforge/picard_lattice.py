@@ -19,7 +19,6 @@ from math import isqrt
 from operator import index, mul
 
 _new = object.__new__
-_setattr = object.__setattr__
 _INT = frozenset({int})
 
 
@@ -37,6 +36,19 @@ def strict_int(value: object, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def strict_ints(values: Iterable[object], name: str) -> tuple[int, ...]:
+    """`values` as a tuple of exact ints, each entry as `strict_int` takes it.
+
+    An all-int tuple, the common case, is checked in one pass at C speed and
+    kept as it is; any other entry sends the whole tuple through
+    `strict_int`, which raises TypeError naming `name`.
+    """
+    values = tuple(values)
+    if _INT.issuperset(map(type, values)):
+        return values
+    return tuple([strict_int(x, name) for x in values])
 
 
 def strict_fields(obj: object, *names: str) -> None:
@@ -60,23 +72,22 @@ class NumericalClass:
 
     def __init__(self, d: int, m: Iterable[int]) -> None:
         # strict_int keeps the lattice exact: true integers only, bool
-        # refused.  An all-int vector, the common case, is kept as it is
-        m = tuple(m)
-        if not _INT.issuperset(map(type, m)):
-            m = tuple([strict_int(x, "multiplicity") for x in m])
-        d = strict_int(d, "degree")
+        # refused
+        m = strict_ints(m, "multiplicity")
+        if type(d) is not int:
+            d = strict_int(d, "degree")
         if len(m) != 9:
             raise ValueError(f"multiplicity vector must have length 9, got {len(m)}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
+        _set_d(self, d)
+        _set_m(self, m)
 
     @classmethod
     def _of(cls, d: int, m: tuple[int, ...]) -> "NumericalClass":
         """A class from values the library derived from checked ints: an
         exact int and a 9-tuple of exact ints, stored without re-checking."""
         new = _new(cls)
-        _setattr(new, "d", d)
-        _setattr(new, "m", m)
+        _set_d(new, d)
+        _set_m(new, m)
         return new
 
     @classmethod
@@ -105,6 +116,10 @@ class NumericalClass:
 
     def __repr__(self) -> str:
         return f"({self.d}; {', '.join(str(x) for x in self.m)})"
+
+
+# the slots of a class, set past the frozen __setattr__
+_set_d, _set_m = NumericalClass.d.__set__, NumericalClass.m.__set__
 
 
 def exceptional(j: int) -> NumericalClass:

@@ -334,3 +334,59 @@ def test_large_fibres_answer_at_once(capsys):
     code, payload = run(capsys, "basechange", "transform", "--type", "I100000*", "--ramified")
     assert code == 0 and payload["result"] == {"fibres": ["I200000"], "euler": 200000}
     assert time.perf_counter() - start < 2.0
+
+
+def test_a_result_past_the_digit_limit_exits_three(capsys):
+    # the 4,400-digit self-intersection used to end in a traceback, exit 1
+    nines = "9" * 2200
+    code, payload = run(capsys, "class", "--class", f"[{nines},0,0,0,0,0,0,0,0,0]")
+    message = payload["error"]["message"]
+    assert code == 3 and set(payload) == {"ok", "error"}
+    assert message.startswith("class: the result") and "4300 digits" in message
+    assert "set_int_max_str_digits" not in message
+
+
+def cap_fibres(count):
+    # distinct I_n fibres at the 2,150-digit cap, each met at component 1
+    # by P = Q
+    fibres = ["I" + str(10 ** 2150 - k) for k in range(1, count + 1)]
+    data = json.dumps({"PO": 0, "QO": 0, "PQ": -1, "components": [[1, 1]] * count})
+    return ["height", "pair", "--data", data, "--fibres", json.dumps(fibres)]
+
+
+def test_a_height_past_the_digit_limit_exits_three(capsys):
+    # three coprime 2,150-digit indices give a 6,450-digit denominator
+    code, payload = run(capsys, *cap_fibres(3))
+    message = payload["error"]["message"]
+    assert code == 3 and message.startswith("height pair: the result") and "4300 digits" in message
+    assert "set_int_max_str_digits" not in message
+
+
+def test_two_fibres_at_the_index_cap_still_print(capsys):
+    code, payload = run(capsys, *cap_fibres(2))
+    n1, n2 = 10 ** 2150 - 1, 10 ** 2150 - 2
+    # <P, P> = chi + 2(P.O) - (P.P) - sum (n - 1)/n, with chi = 1, P.O = 0, P.P = -1
+    assert code == 0 and Fraction(payload["result"]) == 2 - Fraction(n1 - 1, n1) - Fraction(n2 - 1, n2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["class", "--class", "[{},0,0,0,0,0,0,0,0,0]"],
+    ["pencil", "verify", "--spec", '{{"model": "plane", "level": {}, "mults": [1]}}'],
+    ["height", "pair", "--data", '{{"PO": {}, "QO": 0, "PQ": 0}}'],
+])
+def test_an_input_past_the_digit_limit_exits_two(capsys, argv):
+    # a 4,400-digit JSON integer used to exit with the interpreter's text
+    *head, last = argv
+    code, payload = run(capsys, *head, last.format("9" * 4400))
+    message = payload["error"]["message"]
+    assert code == 2 and message.startswith(" ".join(argv[:-2]) + ": an input") and "4300 digits" in message
+    assert "set_int_max_str_digits" not in message
+
+
+def test_a_ramified_image_past_the_cap_names_the_given_symbol(capsys):
+    # the message used to name the image, I19999999999...
+    for symbol in (CAP, CAP + "*"):
+        code, payload = run(capsys, "basechange", "transform", "--type", symbol, "--ramified")
+        message = payload["error"]["message"]
+        assert code == 3 and message.startswith("Kodaira symbol I99999999999... ramifies to I_2n")
+        assert "2151-digit index; at most 2150 digits" in message

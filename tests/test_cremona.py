@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import weakref
@@ -72,6 +73,81 @@ def test_transform_takes_exact_integer_indices_only():
             quadratic_transform(GOLDEN_START, bad, 2, 3)
         with pytest.raises(TypeError, match="point index must be an integer"):
             quadratic_transform(GOLDEN_START, 1, 2, bad)
+
+
+# every ordered centre of three distinct points
+ORDERED_CENTRES = list(itertools.permutations(range(1, 10), 3))
+
+
+def plain_transform(d, m, i, j, k):
+    # the transformation from its formula on plain ints
+    m = list(m)
+    mi, mj, mk = m[i - 1], m[j - 1], m[k - 1]
+    m[i - 1], m[j - 1], m[k - 1] = d - mj - mk, d - mi - mk, d - mi - mj
+    return 2 * d - mi - mj - mk, tuple(m)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(ORDERED_CENTRES), st.integers(-10 ** 20, 10 ** 20),
+       st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=9, max_size=9))
+def test_transform_is_the_formula_and_an_involution_at_every_centre(centre, d, m):
+    assert len(ORDERED_CENTRES) == 504
+    a = NumericalClass(d, m)
+    t = quadratic_transform(a, *centre)
+    assert (t.d, t.m) == plain_transform(d, tuple(m), *centre) and exact(t)
+    assert quadratic_transform(t, *centre) == a
+
+
+def test_every_ordered_centre_transforms_one_class():
+    a = NumericalClass(7, (3, 1, 4, 1, 5, 9, 2, 6, 5))
+    for centre in ORDERED_CENTRES:
+        t = quadratic_transform(a, *centre)
+        assert (t.d, t.m) == plain_transform(a.d, a.m, *centre) and exact(t)
+
+
+class Index:
+    # an exact integer type other than int
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# (entry, exception, message) for one entry of the centre (4, 5, 6); None
+# stands for a repeated index, the entry copied from the next position
+BAD_ENTRIES = [
+    (0, ValueError, "point indices must be in 1..9, got 0"),
+    (10, ValueError, "point indices must be in 1..9, got 10"),
+    (-1, ValueError, "point indices must be in 1..9, got -1"),
+    (None, ValueError, "Cremona centre needs three distinct indices, got {}"),
+    (True, TypeError, "point index must be an integer, got True"),
+    (1.0, TypeError, "point index must be an integer, got 1.0"),
+    ("1", TypeError, "point index must be an integer, got '1'"),
+]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("entry, error, message", BAD_ENTRIES,
+                         ids=["0", "10", "-1", "repeated", "True", "1.0", "str"])
+def test_transform_refuses_each_bad_index_with_its_message(position, entry, error, message):
+    centre = [4, 5, 6]
+    centre[position] = centre[(position + 1) % 3] if entry is None else entry
+    with pytest.raises(error) as info:
+        quadratic_transform(GOLDEN_START, *centre)
+    assert str(info.value) == message.format(tuple(centre))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_transform_reads_an_index_object_as_its_int(position):
+    centre = [4, 5, 6]
+    expected = quadratic_transform(GOLDEN_START, *centre)
+    centre[position] = Index(centre[position])
+    t = quadratic_transform(GOLDEN_START, *centre)
+    assert t == expected and exact(t)
+    centre[position] = Index(centre[(position + 1) % 3].__index__())
+    with pytest.raises(ValueError, match="three distinct indices"):
+        quadratic_transform(GOLDEN_START, *centre)
 
 
 def test_transform_is_an_involution():

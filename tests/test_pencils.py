@@ -467,6 +467,134 @@ def test_spec_and_orbits_take_exact_integers_only():
         construct_pencils("plane", OrbitStructure((1, 2)), cubic_pattern=(1.0, 4, 4))
 
 
+class Index:
+    # an exact integer type other than int
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# (entry, exception, message) at one position of each integer field; in the
+# messages, {} stands for the field's tuple after the entry is put in
+FIELD_ENTRIES = {
+    "level": [
+        (0, ValueError, "level must be at least 1, got 0"),
+        (10, None, None),
+        (-1, ValueError, "level must be at least 1, got -1"),
+        (True, TypeError, "level must be an integer, got True"),
+        (1.0, TypeError, "level must be an integer, got 1.0"),
+        ("1", TypeError, "level must be an integer, got '1'"),
+    ],
+    "extra_conditions": [
+        (0, None, None),
+        (10, None, None),
+        (-1, ValueError, "extra_conditions must be non-negative, got -1"),
+        (True, TypeError, "extra_conditions must be an integer, got True"),
+        (1.0, TypeError, "extra_conditions must be an integer, got 1.0"),
+        ("1", TypeError, "extra_conditions must be an integer, got '1'"),
+    ],
+    "mults": [
+        (0, None, None),
+        (10, None, None),
+        (-1, ValueError, "multiplicities must be non-negative, got {}"),
+        (True, TypeError, "multiplicity must be an integer, got True"),
+        (1.0, TypeError, "multiplicity must be an integer, got 1.0"),
+        ("1", TypeError, "multiplicity must be an integer, got '1'"),
+    ],
+    "sizes": [
+        (0, ValueError, "orbit sizes must be positive, got {}"),
+        (10, None, None),
+        (-1, ValueError, "orbit sizes must be positive, got {}"),
+        (True, TypeError, "orbit size must be an integer, got True"),
+        (1.0, TypeError, "orbit size must be an integer, got 1.0"),
+        ("1", TypeError, "orbit size must be an integer, got '1'"),
+    ],
+    "rational_index": [
+        (0, None, None),
+        (10, ValueError, "rational orbit index 10 out of range"),
+        (-1, ValueError, "rational orbit index -1 out of range"),
+        (True, TypeError, "rational_index must be an integer, got True"),
+        (1.0, TypeError, "rational_index must be an integer, got 1.0"),
+        ("1", TypeError, "rational_index must be an integer, got '1'"),
+    ],
+}
+FIELD_CASES = [(field, *case) for field, cases in FIELD_ENTRIES.items() for case in cases]
+
+
+# the spec and the orbit structure that each case changes in one field
+SPEC_ARGS = {"model": "plane", "level": 3, "mults": (2, 1, 1), "extra_conditions": 0}
+ORBIT_ARGS = {"sizes": (1, 1, 3), "rational_index": 0}
+
+
+def with_entry(field, entry):
+    # the field's value with `entry` in it: the last of the three
+    # multiplicities or sizes, or the scalar itself
+    value = {**SPEC_ARGS, **ORBIT_ARGS}[field]
+    return value[:2] + (entry,) if field in ("mults", "sizes") else entry
+
+
+def build_with(field, entry):
+    args = SPEC_ARGS if field in SPEC_ARGS else ORBIT_ARGS
+    return (PencilSpec if args is SPEC_ARGS else OrbitStructure)(**{**args, field: with_entry(field, entry)})
+
+
+@pytest.mark.parametrize("field, entry, error, message", FIELD_CASES,
+                         ids=[f"{f}-{e!r}" for f, e, _, _ in FIELD_CASES])
+def test_spec_and_orbit_fields_refuse_each_bad_entry_with_its_message(field, entry, error, message):
+    if error is None:
+        assert getattr(build_with(field, entry), field) == with_entry(field, entry)
+        return
+    with pytest.raises(error) as info:
+        build_with(field, entry)
+    assert str(info.value) == message.format(with_entry(field, entry))
+
+
+@pytest.mark.parametrize("field", list(FIELD_ENTRIES))
+def test_spec_and_orbit_fields_store_an_index_object_as_its_int(field):
+    stored = getattr(build_with(field, Index(1)), field)
+    assert stored == with_entry(field, 1)
+    assert all(type(x) is int for x in stored) if field in ("mults", "sizes") else type(stored) is int
+    assert build_with(field, Index(1)) == build_with(field, 1)
+
+
+def ordered_orbits(total):
+    # ordered tuples of positive sizes summing to total
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in ordered_orbits(total - first):
+            yield (first, *rest)
+
+
+def test_constructed_specs_equal_their_checked_copies():
+    # every plane and dp1-dp8 orbit configuration, each size-one orbit as the
+    # rational one, times each cubic pattern: the specs built without a
+    # second check hold exact ints and equal, hash and print like checked ones
+    configs = [("plane", sizes) for total in range(1, 10) for sizes in ordered_orbits(total)]
+    configs += [(f"dp{d}", sizes) for d in range(1, 9) for sizes in ordered_orbits(d)]
+    cases = built = 0
+    for model, sizes in configs:
+        for rational in [i for i, size in enumerate(sizes) if size == 1]:
+            for pattern in (None, (1, 4, 4), (3, 3, 3), (5, 2, 2), (7, 1, 1)):
+                cases += 1
+                try:
+                    pair = construct_pencils(model, OrbitStructure(sizes, rational), pattern)
+                except ValueError:
+                    continue
+                if isinstance(pair, Unsupported):
+                    continue
+                for s in pair:
+                    built += 1
+                    assert type(s.level) is int and type(s.extra_conditions) is int
+                    assert type(s.mults) is tuple and all(type(x) is int for x in s.mults)
+                    checked = PencilSpec(s.model, s.level, s.mults, s.extra_conditions)
+                    assert checked == s and hash(checked) == hash(s) and repr(checked) == repr(s)
+                    assert verify(checked) == verify(s)
+    assert cases == 9280 and built > 0
+
+
 def test_search_contains_the_constructed_dp4_pair():
     found = search_pencils("dp4", OrbitStructure((1, 3)), n_max=7)
     assert spec("dp4", 1, (2, 0, 0, 0)) in found
