@@ -1,8 +1,8 @@
 """Singular-fibre bookkeeping under quadratic base change.
 
-Fibre types use Kodaira symbols: I_n (n >= 0, spelled "I0", "I5", ...), II,
-III, IV and their starred versions "I0*", "I3*", "IV*", "III*", "II*".  Local
-Euler numbers:
+Fibre types use Kodaira symbols: I_n (n >= 0 in ASCII digits: "I0", "I5",
+...), II, III, IV and their starred versions "I0*", "I3*", "IV*", "III*",
+"II*".  Local Euler numbers:
 
     I_n : n      II : 2      III : 3      IV : 4
     I_n*: n + 6  IV*: 8      III*: 9      II*: 10
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .picard_lattice import strict_int
 
-_IN_RE = re.compile(r"^I(\d+)(\*?)$")
+_IN_RE = re.compile(r"^I([0-9]+)(\*?)$")
 
 # the longest I_n index read: half the interpreter's default limit of 4,300
 # digits for int <-> str, so that derived values such as n + 6 and the
@@ -47,7 +47,7 @@ _SIMPLE_TYPES = {
 }
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class KodairaFibre:
     """A singular-fibre type symbol with its numerical invariants.
 
@@ -126,7 +126,7 @@ def _place_id(place: object) -> str:
     return place
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FibreConfiguration:
     """Places of the base, each carrying a singular fibre type."""
 
@@ -166,7 +166,7 @@ class FibreConfiguration:
         return SMOOTH
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchLocus:
     """The two branch points of a quadratic cover of a genus-zero base."""
 

@@ -4,14 +4,17 @@ Every invocation prints a single JSON envelope {"ok": ..., "result": ...} or
 {"ok": false, "error": {...}} on standard output; diagnostics go to standard
 error.  Exit status is 0 on success, 2 for malformed input and 3 for domain
 precondition violations.  Flag values holding JSON may be given inline or as
-"@path" to read the same JSON from a file.
+"@path" to read the same JSON from a file.  A numeric flag takes an ASCII
+integer, [+-]digits; the rational flags also take p/q.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import asdict
 
 # A cold call pays for every import, so pencils, heights, base_change and
 # fractions are imported inside the functions that use them; annotations
@@ -72,13 +75,31 @@ def _class_arg(value: str) -> NumericalClass:
         raise CliError(2, str(exc)) from exc
 
 
-def _fraction_arg(value: str) -> Fraction:
+# the grammar of every numeric flag value; a denominator is not zero
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _int_arg(value: str, name: str) -> int:
+    if not _INT_RE.fullmatch(value):
+        raise CliError(2, f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        # the grammar leaves one ValueError: past the interpreter's digit limit
+        raise _DigitLimit(2, "an input") from exc
+
+
+def _fraction_arg(value: str, name: str) -> Fraction:
     from fractions import Fraction
 
+    if not _FRACTION_RE.fullmatch(value):
+        raise CliError(2, f"{name} must be an integer or a rational p/q, got {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(2, f"expected a rational like 3/2, got {value!r}") from exc
+    except ValueError as exc:
+        # the grammar leaves one ValueError: past the interpreter's digit limit
+        raise _DigitLimit(2, "an input") from exc
 
 
 def _orbits_arg(value: str) -> pencils.OrbitStructure:
@@ -118,15 +139,7 @@ def _branch_arg(value: str) -> base_change.BranchLocus:
 def _spec_result(spec: pencils.PencilSpec) -> dict:
     from . import pencils
 
-    report = pencils.verify(spec)
-    payload = spec.to_json()
-    payload["report"] = {
-        "dim_lower_bound": report.dim_lower_bound,
-        "genus_upper_bound": report.genus_upper_bound,
-        "degree_to_base": report.degree_to_base,
-        "is_valid_pair_member": report.is_valid_pair_member,
-    }
-    return payload
+    return {**spec.to_json(), "report": asdict(pencils.verify(spec))}
 
 
 def _cmd_class(args) -> dict:
@@ -140,7 +153,7 @@ def _cmd_class(args) -> dict:
 
 def _cmd_cremona(args) -> dict:
     cls = _class_arg(args.cls)
-    certificate = cremona.reduce_to_line(cls, args.max_steps)
+    certificate = cremona.reduce_to_line(cls, _int_arg(args.max_steps, "--max-steps"))
     return {
         "chain": certificate.to_json_list(),
         "terminal": certificate.terminal.to_list(),
@@ -152,12 +165,8 @@ def _cmd_pencil_construct(args) -> dict:
     from . import pencils
 
     orbits = _orbits_arg(args.orbits)
-    pattern = None
-    if args.cubic_pattern:
-        try:
-            pattern = tuple(int(p) for p in args.cubic_pattern.split(","))
-        except ValueError as exc:
-            raise CliError(2, f"cubic pattern must be like 1,4,4 - got {args.cubic_pattern!r}") from exc
+    pattern = (tuple(_int_arg(p, "--cubic-pattern entry") for p in args.cubic_pattern.split(","))
+               if args.cubic_pattern else None)
     result = pencils.construct_pencils(args.model, orbits, pattern)
     if isinstance(result, pencils.Unsupported):
         return {"supported": False, "reason": result.reason}
@@ -169,7 +178,7 @@ def _cmd_pencil_search(args) -> dict:
     from . import pencils
 
     orbits = _orbits_arg(args.orbits)
-    found = pencils.search_pencils(args.model, orbits, args.n_max)
+    found = pencils.search_pencils(args.model, orbits, _int_arg(args.n_max, "--n-max"))
     return {"count": len(found), "specs": [spec.to_json() for spec in found]}
 
 
@@ -219,13 +228,13 @@ def _cmd_height_pair(args) -> Fraction:
     fibres = _json_arg(args.fibres) if args.fibres else []
     if not isinstance(fibres, list):
         raise CliError(2, "--fibres must be a JSON list of fibre symbols")
-    return heights.height_pairing(data, args.chi, fibres)
+    return heights.height_pairing(data, _int_arg(args.chi, "--chi"), fibres)
 
 
 def _cmd_height_contrib(args) -> Fraction:
     from . import heights
 
-    return heights.contribution(args.type, args.i, args.j)
+    return heights.contribution(args.type, _int_arg(args.i, "--i"), _int_arg(args.j, "--j"))
 
 
 def _cmd_sections(args) -> dict:
@@ -240,14 +249,15 @@ def _cmd_sections(args) -> dict:
             constraints = [(_class_from_json(cls), value) for cls, value in payload]
         except (TypeError, ValueError) as exc:
             raise CliError(2, f"constraint entries must be [10-int class, value]: {exc}") from exc
-    classes = heights.enumerate_section_classes(constraints, args.d_max)
+    classes = heights.enumerate_section_classes(constraints, _int_arg(args.d_max, "--d-max"))
     return {"count": len(classes), "classes": [c.to_list() for c in classes]}
 
 
 def _cmd_kummer(args) -> dict:
     from . import heights
 
-    inputs = heights.KummerInputs(args.h, args.f1, args.c_e, args.alpha)
+    inputs = heights.KummerInputs(_int_arg(args.h, "--h"), _fraction_arg(args.f1, "--f1"),
+                                  _fraction_arg(args.c_e, "--c-e"), _fraction_arg(args.alpha, "--alpha"))
     return {"n0": heights.kummer_bound(inputs)}
 
 
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cremona = sub.add_parser("cremona", help="greedy Cremona reduction certificate")
     p_cremona.add_argument("--class", dest="cls", required=True, metavar="JSON")
-    p_cremona.add_argument("--max-steps", type=int, default=cremona.DEFAULT_MAX_STEPS,
+    p_cremona.add_argument("--max-steps", default=str(cremona.DEFAULT_MAX_STEPS),
                            help=f"step budget (default {cremona.DEFAULT_MAX_STEPS})")
     p_cremona.set_defaults(handler=_cmd_cremona)
 
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = pencil_sub.add_parser("search")
     p_search.add_argument("--model", required=True)
     p_search.add_argument("--orbits", required=True, metavar="JSON")
-    p_search.add_argument("--n-max", type=int, required=True)
+    p_search.add_argument("--n-max", required=True)
     p_search.set_defaults(handler=_cmd_pencil_search)
 
     p_verify = pencil_sub.add_parser("verify")
@@ -309,21 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair = height_sub.add_parser("pair")
     p_pair.add_argument("--data", required=True, metavar="JSON",
                         help='{"PO": .., "QO": .., "PQ": .., "components": [[i, j], ..]}')
-    p_pair.add_argument("--chi", type=int, default=1)
+    p_pair.add_argument("--chi", default="1")
     p_pair.add_argument("--fibres", default=None, metavar="JSON",
                         help='reducible fibre symbols, e.g. ["I2", "IV*"]')
     p_pair.set_defaults(handler=_cmd_height_pair)
 
     p_contrib = height_sub.add_parser("contrib")
     p_contrib.add_argument("--type", required=True)
-    p_contrib.add_argument("--i", type=int, required=True)
-    p_contrib.add_argument("--j", type=int, required=True)
+    p_contrib.add_argument("--i", required=True)
+    p_contrib.add_argument("--j", required=True)
     p_contrib.set_defaults(handler=_cmd_height_contrib)
 
     p_sections = sub.add_parser("sections", help="bounded section class enumeration")
     sections_sub = p_sections.add_subparsers(dest="action", required=True)
     p_enum = sections_sub.add_parser("enumerate")
-    p_enum.add_argument("--d-max", type=int, default=2)
+    p_enum.add_argument("--d-max", default="2")
     p_enum.add_argument("--constraints", default=None, metavar="JSON",
                         help="list of [class, value] intersection constraints")
     p_enum.set_defaults(handler=_cmd_sections)
@@ -331,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kummer = sub.add_parser("kummer", help="bound on the multiplication index")
     kummer_sub = p_kummer.add_subparsers(dest="action", required=True)
     p_bound = kummer_sub.add_parser("bound")
-    p_bound.add_argument("--h", type=int, required=True)
-    p_bound.add_argument("--f1", type=_fraction_arg, required=True)
-    p_bound.add_argument("--c-e", type=_fraction_arg, required=True)
-    p_bound.add_argument("--alpha", type=_fraction_arg, required=True)
+    p_bound.add_argument("--h", required=True)
+    p_bound.add_argument("--f1", required=True)
+    p_bound.add_argument("--c-e", required=True)
+    p_bound.add_argument("--alpha", required=True)
     p_bound.set_defaults(handler=_cmd_kummer)
 
     return parser

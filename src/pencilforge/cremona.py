@@ -19,7 +19,6 @@ from .picard_lattice import NumericalClass, _set_d, _set_m, strict_int
 DEFAULT_MAX_STEPS = 64
 
 _new = object.__new__
-_setattr = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +144,7 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
     current = a
     for _ in range(max_steps):
         if d == 1:
-            return _certificate(chain, current, True)
+            return ReductionCertificate(tuple(chain), current, True)
         # the three largest multiplicities: their values decide whether to
         # stop, then each takes the first position not yet taken by an equal
         # value, so ties go towards lower indices
@@ -153,7 +152,7 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
         mi, mj, mk = top[0], top[1], top[2]
         if mi + mj + mk <= d:
             # Degree would not strictly decrease; the greedy strategy is stuck.
-            return _certificate(chain, current, False)
+            return ReductionCertificate(tuple(chain), current, False)
         i = index(mi)
         j = index(mj, i + 1) if mj == mi else index(mj)
         k = index(mk, j + 1) if mk == mj else index(mk)
@@ -171,16 +170,7 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
         set_after(step, nxt)
         append(step)
         current = nxt
-    return _certificate(chain, current, d == 1)
-
-
-def _certificate(chain: list[CremonaStep], terminal: NumericalClass, success: bool) -> ReductionCertificate:
-    # the fields are built by reduce_to_line: no generated __init__ needed
-    cert = _new(ReductionCertificate)
-    _setattr(cert, "chain", tuple(chain))
-    _setattr(cert, "terminal", terminal)
-    _setattr(cert, "success", success)
-    return cert
+    return ReductionCertificate(tuple(chain), current, d == 1)
 
 
 def is_connected_class(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> bool:

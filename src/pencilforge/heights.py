@@ -115,7 +115,7 @@ def contribution(fibre: KodairaFibre | str, i: int, j: int) -> Fraction:
     return Fraction(*_correction(fibre, i, j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectionIntersections:
     """Intersection data determining the pairing of two sections P and Q.
 
@@ -193,7 +193,7 @@ def multiplication_pullback_degree(n: int) -> int:
     return n * n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KummerInputs:
     """Degree and field constants bounding division of a new section.
 

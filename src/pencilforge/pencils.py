@@ -8,12 +8,13 @@ count of extra linear conditions (tangencies to the fibres at base points,
 used by the conic constructions and not expressible as point multiplicities).
 
 A spec is a usable pencil member when the system is at least a pencil
-(dimension bound >= 2), its members are rational (genus bound <= 0) and the
-induced map to the base of the elliptic fibration has degree exactly two.
-`construct_pencils` returns the standard pair (L1, L2) for each supported
-model/orbit configuration.  `search_pencils` finds every candidate as a
-class of the blow-up lattice with c.c = 0 and c.F = 2, constant on each
-Galois orbit, with multiplicities capped at n_max + 1.
+(dimension bound >= 2), its members are rational (genus bound <= 0), the
+induced map to the base of the elliptic fibration has degree two, and no
+section is a fixed component (see `verify`).  `construct_pencils` returns
+the standard pair (L1, L2) for each supported model/orbit configuration.
+`search_pencils` finds every candidate as a lattice class with c.c = 0,
+c.F = 2 and c - F not even, constant on each Galois orbit, with
+multiplicities capped at n_max + 1.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .picard_lattice import (
 )
 
 PLANE = "plane"
-
-_new = object.__new__
-_setattr = object.__setattr__
 
 _CUBIC_PATTERNS = {(1, 4, 4), (3, 3, 3), (5, 2, 2), (7, 1, 1)}
 
@@ -61,21 +59,20 @@ _PLANE_SECOND = {
 }
 
 
+# the one spelling of each model, with its degree (None for the plane)
+_MODEL_DEGREES = {PLANE: None, **{f"dp{k}": k for k in range(1, 9)}}
+
+
 def model_degree(model: str) -> int | None:
     """Degree of a del Pezzo model string, or None for the plane."""
-    if model == PLANE:
-        return None
-    if model.startswith("dp"):
-        try:
-            degree = int(model[2:])
-        except ValueError:
-            degree = -1
-        if 1 <= degree <= 8:
-            return degree
-    raise ValueError(f"model must be 'plane' or 'dp1'..'dp8', got {model!r}")
+    if not isinstance(model, str):
+        raise TypeError(f"model must be a string, got {model!r}")
+    if model not in _MODEL_DEGREES:
+        raise ValueError(f"model must be 'plane' or 'dp1'..'dp8', got {model!r}")
+    return _MODEL_DEGREES[model]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitStructure:
     """Galois orbit sizes of the blown-up points, one orbit designated rational.
 
@@ -88,7 +85,7 @@ class OrbitStructure:
 
     def __post_init__(self) -> None:
         sizes = strict_ints(self.sizes, "orbit size")
-        _setattr(self, "sizes", sizes)
+        object.__setattr__(self, "sizes", sizes)
         if type(self.rational_index) is not int:
             strict_fields(self, "rational_index")
         if not sizes:
@@ -104,16 +101,11 @@ class OrbitStructure:
     def total_points(self) -> int:
         return sum(self.sizes)
 
-    def point_range(self, orbit: int) -> range:
-        """Positions of an orbit's points; orbits are laid out consecutively."""
-        start = sum(self.sizes[:orbit])
-        return range(start, start + self.sizes[orbit])
-
     def to_json(self) -> dict:
         return {"orbit_sizes": list(self.sizes), "rational_orbit_index": self.rational_index}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PencilSpec:
     """A candidate linear system on a minimal model."""
 
@@ -127,7 +119,7 @@ class PencilSpec:
         if type(self.level) is not int or type(self.extra_conditions) is not int:
             strict_fields(self, "level", "extra_conditions")
         mults = strict_ints(self.mults, "multiplicity")
-        _setattr(self, "mults", mults)
+        object.__setattr__(self, "mults", mults)
         if self.level < 1:
             raise ValueError(f"level must be at least 1, got {self.level}")
         if mults and min(mults) < 0:
@@ -140,6 +132,17 @@ class PencilSpec:
         elif len(self.mults) != degree:
             raise ValueError(
                 f"a degree-{degree} del Pezzo model has {degree} blown-up points, got {len(self.mults)}")
+
+    @classmethod
+    def _of(cls, model: str, level: int, mults: tuple[int, ...], extra: int = 0) -> "PencilSpec":
+        """A spec from values derived from checked ones, stored unchecked
+        through its slots, past the frozen __setattr__."""
+        new = object.__new__(cls)
+        cls.model.__set__(new, model)
+        cls.level.__set__(new, level)
+        cls.mults.__set__(new, mults)
+        cls.extra_conditions.__set__(new, extra)
+        return new
 
     def to_json(self) -> dict:
         return {
@@ -160,7 +163,7 @@ class PencilSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PencilReport:
     """Verification numbers for a spec and the combined validity verdict."""
 
@@ -170,14 +173,14 @@ class PencilReport:
     is_valid_pair_member: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsupported:
     """A model/orbit configuration the constructions do not cover."""
 
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeSixReduction:
     """Rewrite instruction for a degree-six model: blow up one orbit."""
 
@@ -211,19 +214,21 @@ def degree_to_base_spec(spec: PencilSpec) -> int:
 
 
 def verify(spec: PencilSpec) -> PencilReport:
-    """Evaluate the three pencil criteria for a spec."""
+    """Evaluate the pencil criteria for a spec.
+
+    Besides the three bounds, a spec with no extra conditions must not have
+    c - F even: then E = (c - F)/2 is a section with c.E = -1, fixed in every
+    member, which is F + 2E.  The test is numerical, like `is_connected_class`.
+    Tangencies make c.F = 2 + extra, so their bounds alone decide.
+    """
     cls = to_numerical_class(spec)
     genus = arithmetic_genus(cls)
     deg = degree_to_base(cls) - spec.extra_conditions
     # Riemann-Roch exceeds the arithmetic genus by exactly c.F
     dim = genus + deg
-    # built from the ints above: the generated __init__ would only copy them
-    report = _new(PencilReport)
-    _setattr(report, "dim_lower_bound", dim)
-    _setattr(report, "genus_upper_bound", genus)
-    _setattr(report, "degree_to_base", deg)
-    _setattr(report, "is_valid_pair_member", dim >= 2 and genus <= 0 and deg == 2)
-    return report
+    valid = (dim >= 2 and genus <= 0 and deg == 2
+             and (spec.extra_conditions > 0 or not (cls.d % 2 and all(x % 2 for x in cls.m))))
+    return PencilReport(dim, genus, deg, valid)
 
 
 def to_numerical_class(spec: PencilSpec) -> NumericalClass:
@@ -249,18 +254,6 @@ def to_numerical_class(spec: PencilSpec) -> NumericalClass:
     if type(spec) is PencilSpec:
         return NumericalClass._of(d, m)
     return NumericalClass(d, m)
-
-
-def _spec(model: str, level: int, mults: tuple[int, ...], extra: int = 0) -> PencilSpec:
-    # a spec from values the library derived from checked ones: a model that
-    # `model_degree` accepted, exact ints and a point count already matched
-    # to the model, so `__post_init__` has nothing to check
-    spec = _new(PencilSpec)
-    _setattr(spec, "model", model)
-    _setattr(spec, "level", level)
-    _setattr(spec, "mults", mults)
-    _setattr(spec, "extra_conditions", extra)
-    return spec
 
 
 def _mult_vector(orbits: OrbitStructure, assignments: dict[int, int]) -> tuple[int, ...]:
@@ -331,7 +324,7 @@ def construct_pencils(
 
     rational = orbits.rational_index
     return tuple(
-        _spec(model, level, _mult_vector(
+        PencilSpec._of(model, level, _mult_vector(
             orbits, {i: at_rational if i == rational else elsewhere for i in range(len(orbits.sizes))}))
         for level, at_rational, elsewhere in _DEL_PEZZO_PAIRS[degree])
 
@@ -341,7 +334,7 @@ def _construct_plane(
     cubic_pattern: tuple[int, int, int] | None,
 ) -> tuple[PencilSpec, PencilSpec] | Unsupported:
     rational = orbits.rational_index
-    first = _spec(PLANE, 1, _mult_vector(orbits, {rational: 1}))
+    first = PencilSpec._of(PLANE, 1, _mult_vector(orbits, {rational: 1}))
 
     others = [(i, s) for i, s in enumerate(orbits.sizes) if i != rational]
     if not others:
@@ -354,11 +347,11 @@ def _construct_plane(
         extra, extra_size = min(extras, key=_by_size)
         if extra_size == 2:
             # conics through the four points of the two 2-orbits
-            return first, _spec(PLANE, 2, _mult_vector(orbits, {orbit: 1, extra: 1}))
+            return first, PencilSpec._of(PLANE, 2, _mult_vector(orbits, {orbit: 1, extra: 1}))
         # otherwise the 2-orbit is passed over for the next smallest orbit
         orbit, size = extra, extra_size
     level, at_rational, on_orbit = _PLANE_SECOND[size]
-    return first, _spec(PLANE, level, _mult_vector(orbits, {rational: at_rational, orbit: on_orbit}))
+    return first, PencilSpec._of(PLANE, level, _mult_vector(orbits, {rational: at_rational, orbit: on_orbit}))
 
 
 def _by_size(pair: tuple[int, int]) -> tuple[int, int]:
@@ -381,11 +374,11 @@ def _tangent_conics(
     if pattern == (1, 4, 4):
         # conics through the conjugate pair, tangent to the common fibre
         # tangents there
-        return _spec(PLANE, 2, _mult_vector(orbits, {two_orbit: 1}), 2)
+        return PencilSpec._of(PLANE, 2, _mult_vector(orbits, {two_orbit: 1}), 2)
     # conics through all three points, tangent to the common tangent at the
     # rational one
     mults = _mult_vector(orbits, {orbits.rational_index: 1, two_orbit: 1})
-    return _spec(PLANE, 2, mults, 1)
+    return PencilSpec._of(PLANE, 2, mults, 1)
 
 
 def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[PencilSpec]:
@@ -394,9 +387,9 @@ def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[Penci
     Multiplicities range over 0..n_max+1, constant on each Galois orbit
     (invariance of the system forces that), with no extra conditions.  A
     spec is kept when dim_lower_bound >= 2, genus_upper_bound <= 0 and
-    degree_to_base_spec == 2.  With c.F = 2 the dimension bound exceeds the
-    genus bound by exactly 2, so these are the lattice classes c with
-    c.c = 0 and c.F = 2.  Output is sorted by (level, mults).
+    degree_to_base_spec == 2, unless c - F is even (see `verify`).  With
+    c.F = 2 the dimension bound exceeds the genus bound by exactly 2, so
+    these are the classes c with c.c = 0 and c.F = 2.  Sorted by (level, mults).
 
     `n_max` is checked as an exact int; the results are built from checked
     values (the model and point count by each level's zero-multiplicity
@@ -415,7 +408,12 @@ def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[Penci
         c0 = to_numerical_class(PencilSpec(model, level, zeros))
         square_sum = intersect(c0, c0)
         linear_sum = degree_to_base(c0) - 2
+        # c - F is even when the degree, the padding (0 on the plane, the
+        # level on a del Pezzo model) and every orbit's multiplicity are odd
+        odd_padding = c0.d % 2 == 1 and (model != PLANE or orbits.total_points == 9)
         for per_orbit in weighted_vectors(sizes, square_sum, linear_sum, 0, n_max + 1):
+            if odd_padding and all(x % 2 for x in per_orbit):
+                continue
             mults = tuple(x for x, size in zip(per_orbit, sizes) for _ in range(size))
-            results.append(_spec(model, level, mults))
+            results.append(PencilSpec._of(model, level, mults))
     return results

@@ -275,6 +275,14 @@ def test_each_spelling_resolves_to_one_interned_fibre():
         fibre.euler = 3
 
 
+# ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGIT THREE
+@pytest.mark.parametrize("raw", ["I٣", "I٣*", "I_٣", "I３", "I1٣"])
+def test_symbol_indices_are_ascii_digits(raw):
+    # "I٣" used to be read as I3
+    with pytest.raises(ValueError, match="unknown Kodaira symbol"):
+        KodairaFibre(raw)
+
+
 def test_symbol_cache_stays_bounded():
     from pencilforge.base_change import _interned
 

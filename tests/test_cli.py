@@ -390,3 +390,68 @@ def test_a_ramified_image_past_the_cap_names_the_given_symbol(capsys):
         message = payload["error"]["message"]
         assert code == 3 and message.startswith("Kodaira symbol I99999999999... ramifies to I_2n")
         assert "2151-digit index; at most 2150 digits" in message
+
+
+ORBITS_1_2 = '{"orbit_sizes": [1, 2]}'
+
+# each numeric flag with the rest of a valid request; the bad value goes last
+NUMERIC_FLAGS = [
+    ["cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]", "--max-steps"],
+    ["pencil", "search", "--model", "plane", "--orbits", ORBITS_1_2, "--n-max"],
+    ["height", "pair", "--data", PAIR_DATA, "--fibres", '["I2"]', "--chi"],
+    ["height", "contrib", "--type", "I3", "--j", "1", "--i"],
+    ["height", "contrib", "--type", "I3", "--i", "1", "--j"],
+    ["sections", "enumerate", "--d-max"],
+    ["kummer", "bound", "--f1", "1", "--c-e", "1", "--alpha", "1", "--h"],
+    ["kummer", "bound", "--h", "2", "--c-e", "1", "--alpha", "1", "--f1"],
+    ["kummer", "bound", "--h", "2", "--f1", "1", "--alpha", "1", "--c-e"],
+    ["kummer", "bound", "--h", "2", "--f1", "1", "--c-e", "1", "--alpha"],
+    ["pencil", "construct", "--model", "plane", "--orbits", ORBITS_1_2, "--cubic-pattern"],
+]
+
+# "١" is ARABIC-INDIC DIGIT ONE; the last value is past the digit limit
+BAD_VALUES = ["abc", "1/0", "١", "1_0", "1e0", "2.5", "9" * 4400]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=["abc", "1/0", "arabic-1", "1_0", "1e0", "2.5", "4400-digits"])
+@pytest.mark.parametrize("argv", NUMERIC_FLAGS, ids=[argv[-1] for argv in NUMERIC_FLAGS])
+def test_malformed_flag_values_give_one_envelope(capsys, argv, value):
+    # argparse's type= hooks answered these with usage text, with a
+    # traceback (--f1 1/0), or took them as numbers (--i "١", --alpha 2.5)
+    if argv[-1] == "--cubic-pattern":
+        value = "1,4," + value
+    code, payload = run(capsys, *argv, value)
+    assert code == 2 and payload["ok"] is False and set(payload) == {"ok", "error"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pencil", "search", "--model", "plane", "--orbits", ORBITS_1_2, "--n-max", "0"],
+    ["sections", "enumerate", "--d-max", "-1"],
+    ["kummer", "bound", "--h", "2", "--f1", "1", "--c-e", "1", "--alpha", "0"],
+    ["kummer", "bound", "--h", "2", "--f1", "-1", "--c-e", "1", "--alpha", "1"],
+])
+def test_well_formed_values_out_of_domain_exit_three(capsys, argv):
+    code, payload = run(capsys, *argv)
+    assert code == 3 and payload["ok"] is False
+
+
+def test_flag_values_take_a_sign_and_rationals_take_p_over_q(capsys):
+    code, payload = run(capsys, "height", "contrib", "--type", "I3", "--i", "+1", "--j", "02")
+    assert code == 0 and payload["result"] == "1/3"
+    code, payload = run(capsys, "kummer", "bound", "--h", "+3", "--f1", "+2/3", "--c-e", "1/2", "--alpha", "4/2")
+    assert code == 0 and payload["result"] == {"n0": 8}
+
+
+@pytest.mark.parametrize("model", ["dp04", "dp+4", "dp 4", "dp٤", 4])
+def test_models_are_spelt_in_ascii(capsys, model):
+    # "dp04" and the rest were read as degree four; 4 ended in a traceback
+    spec = json.dumps({"model": model, "level": 1, "mults": [2, 0, 0, 0]})
+    code, payload = run(capsys, "pencil", "verify", "--spec", spec)
+    assert code == (2 if model == 4 else 3) and payload["ok"] is False
+
+
+def test_a_class_with_a_fixed_section_is_refused(capsys):
+    spec = '{"model": "plane", "level": 5, "mults": [1, 1, 1, 1, 1, 1, 1, 3, 3]}'
+    code, payload = run(capsys, "pencil", "verify", "--spec", spec)
+    assert code == 0 and payload["result"]["report"] == {
+        "dim_lower_bound": 2, "genus_upper_bound": 0, "degree_to_base": 2, "is_valid_pair_member": False}

@@ -4,12 +4,14 @@ import itertools
 import pickle
 import random
 import weakref
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pencilforge.base_change import BranchLocus, FibreConfiguration, KodairaFibre
 from pencilforge.cremona import (
     CremonaStep,
     ReductionCertificate,
@@ -17,6 +19,8 @@ from pencilforge.cremona import (
     quadratic_transform,
     reduce_to_line,
 )
+from pencilforge.heights import KummerInputs, SectionIntersections
+from pencilforge.pencils import DegreeSixReduction, OrbitStructure, PencilSpec, Unsupported, verify
 from pencilforge.picard_lattice import (
     CANONICAL,
     FIBRE,
@@ -381,11 +385,21 @@ def test_steps_at_one_centre_share_their_indices():
 
 
 def _records():
+    # one instance of each of the package's records
     cert = reduce_to_line(GOLDEN_START)
-    return [GOLDEN_START, cert.chain[0], cert]
+    spec = PencilSpec("dp5", 2, (4, 1, 1, 1, 1))
+    return [
+        GOLDEN_START, cert.chain[0], cert,
+        OrbitStructure((1, 4)), spec, verify(spec), Unsupported("no pair"), DegreeSixReduction(5, 1),
+        KodairaFibre("I3*"), FibreConfiguration((("a", "I2"), ("b", "IV*"))), BranchLocus("a", "b"),
+        SectionIntersections(1, 0, 2, ((1, 1),)), KummerInputs(5, Fraction(3, 2), 1, Fraction(1, 2)),
+    ]
 
 
-@pytest.mark.parametrize("record", _records(), ids=["NumericalClass", "CremonaStep", "ReductionCertificate"])
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(record).__name__ for record in RECORDS])
 def test_lattice_records_are_slotted_and_frozen(record):
     assert not hasattr(record, "__dict__")
     with pytest.raises(TypeError):
@@ -393,9 +407,8 @@ def test_lattice_records_are_slotted_and_frozen(record):
     for name in (f.name for f in dataclasses.fields(record)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, None)
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        again = pickle.loads(pickle.dumps(record, protocol))
-        assert type(again) is type(record) and again == record and hash(again) == hash(record)
-    for again in (copy.copy(record), copy.deepcopy(record)):
-        assert type(again) is type(record) and again == record and repr(again) == repr(record)
+    copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.copy(record), copy.deepcopy(record)]:
+        assert type(again) is type(record) and again == record
+        assert hash(again) == hash(record) and repr(again) == repr(record)
         assert not hasattr(again, "__dict__")

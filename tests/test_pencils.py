@@ -1,11 +1,12 @@
 import itertools
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilforge.cremona import is_connected_class
+from pencilforge.cremona import is_connected_class, reduce_to_line
 from pencilforge.pencils import (
     DegreeSixReduction,
     OrbitStructure,
@@ -20,7 +21,13 @@ from pencilforge.pencils import (
     to_numerical_class,
     verify,
 )
-from pencilforge.picard_lattice import NumericalClass, arithmetic_genus, degree_to_base
+from pencilforge.picard_lattice import (
+    FIBRE,
+    NumericalClass,
+    arithmetic_genus,
+    degree_to_base,
+    weighted_vectors,
+)
 
 
 def spec(model, level, mults, extra=0):
@@ -97,10 +104,19 @@ def test_spec_validation():
         PencilSpec("plane", 1, (1,), extra_conditions=-1)
 
 
+@pytest.mark.parametrize("model", ["dp04", "dp+4", "dp 4", "dp4 ", "dp٤", 4])
+def test_models_take_one_ascii_spelling(model):
+    # the strings were read as degree four and stored as spelt, unequal to
+    # "dp4"; 4 failed with an AttributeError
+    error, message = (ValueError, "model must be 'plane' or 'dp1'..'dp8'") if isinstance(model, str) \
+        else (TypeError, "model must be a string")
+    with pytest.raises(error, match=message):
+        PencilSpec(model, 1, (2, 0, 0, 0))
+
+
 def test_orbit_structure_validation():
     orbits = OrbitStructure((1, 4))
     assert orbits.total_points == 5
-    assert list(orbits.point_range(1)) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         OrbitStructure(())
     with pytest.raises(ValueError):
@@ -642,3 +658,98 @@ def test_search_rejects_bad_arguments():
         search_pencils("plane", OrbitStructure((1,) + (2,) * 5), n_max=3)
     with pytest.raises(ValueError):
         search_pencils("dp9", OrbitStructure((1,) * 9), n_max=3)
+
+
+# ---------------------------------------------------------------------------
+# fixed sections: a flat class c = F (mod 2) is F + 2E for a section E
+
+def test_a_class_with_a_fixed_section_is_not_a_pair_member():
+    # F + 2(L - E8 - E9): the bounds hold, but every member contains the
+    # section L - E8 - E9 twice; verify used to answer true
+    s = spec("plane", 5, (1,) * 7 + (3, 3))
+    report = verify(s)
+    assert (report.dim_lower_bound, report.genus_upper_bound, report.degree_to_base) == (2, 0, 2)
+    assert not report.is_valid_pair_member
+    assert to_numerical_class(s) == FIBRE + 2 * NumericalClass(1, (0,) * 7 + (1, 1))
+    assert s not in search_pencils("plane", OrbitStructure((1,) * 9), 5)
+    # on a del Pezzo model the level and every multiplicity are odd
+    report = verify(spec("dp8", 3, (5, 3, 3, 3, 3, 3, 1, 1)))
+    assert (report.dim_lower_bound, report.genus_upper_bound, report.degree_to_base) == (2, 0, 2)
+    assert not report.is_valid_pair_member
+
+
+def test_the_eight_point_search_keeps_only_the_constructed_pair():
+    # (11; 7, 3^8) = F + 2(4; 3, 1^8) used to be found as well
+    orbits = OrbitStructure((1, 8))
+    assert search_pencils("plane", orbits, 20) == list(construct_pencils("plane", orbits))
+
+
+@lru_cache(maxsize=None)
+def pencil_classes(d):
+    # every class (d; m) with m >= 0, c.c = 0 and c.F = 2
+    return [NumericalClass(d, m) for m in weighted_vectors((1,) * 9, d * d, 3 * d - 2, 0, d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda d: st.sampled_from(pencil_classes(d))))
+def test_reduction_reaches_a_line_exactly_off_the_fibre_parity(c):
+    fibre_parity = all((a - b) % 2 == 0 for a, b in zip(c.to_list(), FIBRE.to_list()))
+    terminal = reduce_to_line(c).terminal
+    if fibre_parity:
+        # F + 2E_j up to the order of the points
+        assert terminal.d == 3 and sorted(terminal.m) == [-1] + [1] * 8
+    else:
+        assert terminal.d == 1 and sorted(terminal.m) == [0] * 8 + [1]
+    assert verify(spec("plane", c.d, c.m)).is_valid_pair_member is not fibre_parity
+
+
+def sorted_vectors(length, squares, total, top, bottom):
+    # independent oracle: the non-increasing vectors of `length` entries in
+    # bottom..top with the given sum of squares and sum, by a box scan in
+    # plain loops that only stops early on a sum out of reach
+    out = []
+
+    def scan(prefix, cap, squares, total):
+        left = length - len(prefix)
+        if not left * bottom <= total <= left * cap:
+            return
+        if left == 0:
+            if squares == 0:
+                out.append(tuple(prefix))
+            return
+        for x in range(cap, bottom - 1, -1):
+            if x * x <= squares:
+                scan(prefix + [x], x, squares - x * x, total - x)
+
+    scan([], top, squares, total)
+    return out
+
+
+@lru_cache(maxsize=None)
+def sections():
+    # the section classes (E.E = -1, E.F = 1) with |d| <= 12, points sorted
+    return [(d, m) for d in range(-12, 13) for m in sorted_vectors(9, d * d + 1, 3 * d - 1, 13, -13)]
+
+
+def meets_every_section(d, m):
+    # c.E >= 0 for every section class E with |d| <= 12, under every order
+    # of its points: the smallest c.E pairs the sorted entries of c and E
+    # (rearrangement)
+    m = sorted(m, reverse=True)
+    return all(d * e - sum(a * b for a, b in zip(m, f)) >= 0 for e, f in sections())
+
+
+@pytest.mark.parametrize("model, points, n_max", [("plane", 9, 9), ("dp8", 8, 5), ("dp5", 5, 8)])
+def test_search_keeps_exactly_the_classes_meeting_every_section(model, points, n_max):
+    assert len(sections()) == 29
+    found = {(s.level, tuple(sorted(s.mults, reverse=True)))
+             for s in search_pencils(model, OrbitStructure((1,) * points), n_max)}
+    want = set()
+    for level in range(1, n_max + 1):
+        # the class (d; pad, m) of a level, with c.c = 0 and c.F = 2
+        d, pad = (level, ()) if model == "plane" else (3 * level, (level,) * (9 - points))
+        squares, total = d * d - sum(x * x for x in pad), 3 * d - sum(pad) - 2
+        for m in sorted_vectors(points, squares, total, n_max + 1, 0):
+            if meets_every_section(d, pad + m):
+                want.add((level, m))
+    assert found == want
