@@ -1,25 +1,25 @@
 """Batch command-line interface with JSON input and output.
 
-Every invocation prints a single JSON envelope {"ok": ..., "result": ...} or
-{"ok": false, "error": {...}} on standard output; diagnostics go to standard
-error.  Exit status is 0 on success, 2 for malformed input and 3 for domain
-precondition violations.  Flag values holding JSON may be given inline or as
+Every invocation but a help request prints a single JSON envelope
+{"ok": ..., "result": ...} or {"ok": false, "error": {...}} on standard
+output and nothing on standard error.  Exit status is 0 on success, 2 for
+malformed input or usage and 3 for domain precondition violations.  Flag values holding JSON may be given inline or as
 "@path" to read the same JSON from a file.  A numeric flag takes an ASCII
 integer, [+-]digits; the rational flags also take p/q.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
-# A cold call pays for every import, so pencils, heights, base_change and
-# fractions are imported inside the functions that use them; annotations
-# naming them are never evaluated (postponed annotations).
-from . import cremona
+# A cold call pays for every import, so argparse (help pages only), cremona,
+# pencils, heights, base_change and fractions are imported inside the
+# functions that use them; annotations naming them are never evaluated
+# (postponed annotations).
 from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect
 
 
@@ -152,6 +152,8 @@ def _cmd_class(args) -> dict:
 
 
 def _cmd_cremona(args) -> dict:
+    from . import cremona
+
     cls = _class_arg(args.cls)
     certificate = cremona.reduce_to_line(cls, _int_arg(args.max_steps, "--max-steps"))
     return {
@@ -261,93 +263,187 @@ def _cmd_kummer(args) -> dict:
     return {"n0": heights.kummer_bound(inputs)}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _max_steps_default() -> str:
+    from . import cremona
+
+    return str(cremona.DEFAULT_MAX_STEPS)
+
+
+# The grammar of every call: command -> (its help, {action: (handler, flags)}),
+# where a command without actions holds one leaf under None.  A flag is
+# (name, the keywords of its argparse add_argument); the reader and the help
+# parser both read them.  A callable default is resolved when it is needed.
+_GRAMMAR = {
+    "class": ("genus, base degree and self-intersection of a class", {None: (_cmd_class, (
+        ("--class", {"dest": "cls", "required": True, "metavar": "JSON",
+                     "help": "divisor class [d, m1..m9]"}),
+    ))}),
+    "cremona": ("greedy Cremona reduction certificate", {None: (_cmd_cremona, (
+        ("--class", {"dest": "cls", "required": True, "metavar": "JSON"}),
+        ("--max-steps", {"default": _max_steps_default, "help": "step budget (default %(default)s)"}),
+    ))}),
+    "pencil": ("construct, search or verify pencil specs", {
+        "construct": (_cmd_pencil_construct, (
+            ("--model", {"required": True, "help": "plane or dp1..dp8"}),
+            ("--orbits", {"required": True, "metavar": "JSON"}),
+            ("--cubic-pattern", {"default": None, "metavar": "A,B,C"}),
+        )),
+        "search": (_cmd_pencil_search, (
+            ("--model", {"required": True}),
+            ("--orbits", {"required": True, "metavar": "JSON"}),
+            ("--n-max", {"required": True}),
+        )),
+        "verify": (_cmd_pencil_verify, (
+            ("--spec", {"required": True, "metavar": "JSON"}),
+        )),
+    }),
+    "basechange": ("quadratic base change bookkeeping", {
+        "classify": (_cmd_basechange_classify, (
+            ("--config", {"required": True, "metavar": "JSON",
+                          "help": 'fibre configuration, {"I0*": 1, "I1": 6} or [{"place", "type"}]'}),
+            ("--branch", {"required": True, "metavar": "V,W", "help": "two branch place ids"}),
+        )),
+        "transform": (_cmd_basechange_transform, (
+            ("--type", {"required": True, "help": "Kodaira symbol, e.g. I2 or I0*"}),
+            ("--ramified", {"action": "store_true"}),
+        )),
+    }),
+    "height": ("height pairing and local corrections", {
+        "pair": (_cmd_height_pair, (
+            ("--data", {"required": True, "metavar": "JSON",
+                        "help": '{"PO": .., "QO": .., "PQ": .., "components": [[i, j], ..]}'}),
+            ("--chi", {"default": "1"}),
+            ("--fibres", {"default": None, "metavar": "JSON",
+                          "help": 'reducible fibre symbols, e.g. ["I2", "IV*"]'}),
+        )),
+        "contrib": (_cmd_height_contrib, (
+            ("--type", {"required": True}),
+            ("--i", {"required": True}),
+            ("--j", {"required": True}),
+        )),
+    }),
+    "sections": ("bounded section class enumeration", {
+        "enumerate": (_cmd_sections, (
+            ("--d-max", {"default": "2"}),
+            ("--constraints", {"default": None, "metavar": "JSON",
+                               "help": "list of [class, value] intersection constraints"}),
+        )),
+    }),
+    "kummer": ("bound on the multiplication index", {
+        "bound": (_cmd_kummer, (
+            ("--h", {"required": True}),
+            ("--f1", {"required": True}),
+            ("--c-e", {"required": True}),
+            ("--alpha", {"required": True}),
+        )),
+    }),
+}
+
+_HELP = ("-h", "--help")
+
+
+def _dest(name: str, keywords: dict) -> str:
+    return keywords.get("dest") or name[2:].replace("-", "_")
+
+
+def _default(keywords: dict):
+    if keywords.get("action") == "store_true":
+        return False
+    default = keywords.get("default")
+    return default() if callable(default) else default
+
+
+def _help_parser():
+    """The argparse parser of `_GRAMMAR`; it only prints help pages."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pencilforge",
         description="Exact lattice computations for rational elliptic surfaces.",
     )
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_class = sub.add_parser("class", help="genus, base degree and self-intersection of a class")
-    p_class.add_argument("--class", dest="cls", required=True, metavar="JSON",
-                         help="divisor class [d, m1..m9]")
-    p_class.set_defaults(handler=_cmd_class)
-
-    p_cremona = sub.add_parser("cremona", help="greedy Cremona reduction certificate")
-    p_cremona.add_argument("--class", dest="cls", required=True, metavar="JSON")
-    p_cremona.add_argument("--max-steps", default=str(cremona.DEFAULT_MAX_STEPS),
-                           help=f"step budget (default {cremona.DEFAULT_MAX_STEPS})")
-    p_cremona.set_defaults(handler=_cmd_cremona)
-
-    p_pencil = sub.add_parser("pencil", help="construct, search or verify pencil specs")
-    pencil_sub = p_pencil.add_subparsers(dest="action", required=True)
-
-    p_construct = pencil_sub.add_parser("construct")
-    p_construct.add_argument("--model", required=True, help="plane or dp1..dp8")
-    p_construct.add_argument("--orbits", required=True, metavar="JSON")
-    p_construct.add_argument("--cubic-pattern", default=None, metavar="A,B,C")
-    p_construct.set_defaults(handler=_cmd_pencil_construct)
-
-    p_search = pencil_sub.add_parser("search")
-    p_search.add_argument("--model", required=True)
-    p_search.add_argument("--orbits", required=True, metavar="JSON")
-    p_search.add_argument("--n-max", required=True)
-    p_search.set_defaults(handler=_cmd_pencil_search)
-
-    p_verify = pencil_sub.add_parser("verify")
-    p_verify.add_argument("--spec", required=True, metavar="JSON")
-    p_verify.set_defaults(handler=_cmd_pencil_verify)
-
-    p_bc = sub.add_parser("basechange", help="quadratic base change bookkeeping")
-    bc_sub = p_bc.add_subparsers(dest="action", required=True)
-
-    p_classify = bc_sub.add_parser("classify")
-    p_classify.add_argument("--config", required=True, metavar="JSON",
-                            help='fibre configuration, {"I0*": 1, "I1": 6} or [{"place", "type"}]')
-    p_classify.add_argument("--branch", required=True, metavar="V,W", help="two branch place ids")
-    p_classify.set_defaults(handler=_cmd_basechange_classify)
-
-    p_transform = bc_sub.add_parser("transform")
-    p_transform.add_argument("--type", required=True, help="Kodaira symbol, e.g. I2 or I0*")
-    p_transform.add_argument("--ramified", action="store_true")
-    p_transform.set_defaults(handler=_cmd_basechange_transform)
-
-    p_height = sub.add_parser("height", help="height pairing and local corrections")
-    height_sub = p_height.add_subparsers(dest="action", required=True)
-
-    p_pair = height_sub.add_parser("pair")
-    p_pair.add_argument("--data", required=True, metavar="JSON",
-                        help='{"PO": .., "QO": .., "PQ": .., "components": [[i, j], ..]}')
-    p_pair.add_argument("--chi", default="1")
-    p_pair.add_argument("--fibres", default=None, metavar="JSON",
-                        help='reducible fibre symbols, e.g. ["I2", "IV*"]')
-    p_pair.set_defaults(handler=_cmd_height_pair)
-
-    p_contrib = height_sub.add_parser("contrib")
-    p_contrib.add_argument("--type", required=True)
-    p_contrib.add_argument("--i", required=True)
-    p_contrib.add_argument("--j", required=True)
-    p_contrib.set_defaults(handler=_cmd_height_contrib)
-
-    p_sections = sub.add_parser("sections", help="bounded section class enumeration")
-    sections_sub = p_sections.add_subparsers(dest="action", required=True)
-    p_enum = sections_sub.add_parser("enumerate")
-    p_enum.add_argument("--d-max", default="2")
-    p_enum.add_argument("--constraints", default=None, metavar="JSON",
-                        help="list of [class, value] intersection constraints")
-    p_enum.set_defaults(handler=_cmd_sections)
-
-    p_kummer = sub.add_parser("kummer", help="bound on the multiplication index")
-    kummer_sub = p_kummer.add_subparsers(dest="action", required=True)
-    p_bound = kummer_sub.add_parser("bound")
-    p_bound.add_argument("--h", required=True)
-    p_bound.add_argument("--f1", required=True)
-    p_bound.add_argument("--c-e", required=True)
-    p_bound.add_argument("--alpha", required=True)
-    p_bound.set_defaults(handler=_cmd_kummer)
-
+    for command, (help_text, actions) in _GRAMMAR.items():
+        p_command = sub.add_parser(command, help=help_text)
+        if None not in actions:
+            action_sub = p_command.add_subparsers(dest="action", required=True)
+        for action, (handler, flags) in actions.items():
+            p_leaf = p_command if action is None else action_sub.add_parser(action)
+            for name, keywords in flags:
+                if callable(keywords.get("default")):
+                    keywords = {**keywords, "default": _default(keywords)}
+                p_leaf.add_argument(name, **keywords)
+            p_leaf.set_defaults(handler=handler)
     return parser
+
+
+def _read(argv: list[str]) -> SimpleNamespace:
+    """The arguments of one call, read from `argv` by `_GRAMMAR`.
+
+    `--pretty` may come first, then the command, its action if it has
+    actions, and the flags, each `--flag VALUE`, `--flag=VALUE` or a bare
+    switch, spelt in full and given at most once.  `-h` or `--help` in place
+    of a command, an action or a flag prints the argparse help page of what
+    is read so far and exits 0.  Anything else prints an error envelope and
+    exits 2.
+    """
+    words = iter(argv)
+    args = SimpleNamespace(pretty=False)
+    path: list[str] = []
+
+    def refuse(message: str) -> NoReturn:
+        where = " ".join(path) or "pencilforge"
+        _emit({"ok": False, "error": {"message": f"{where}: {message}"}}, args.pretty)
+        raise SystemExit(2)
+
+    def choose(choices, kind: str) -> str:
+        for word in words:
+            if word in _HELP:
+                # prints the help page and exits 0
+                _help_parser().parse_args([*path, "--help"])
+            if word == "--pretty" and not path:
+                args.pretty = True
+            elif word in choices:
+                path.append(word)
+                return word
+            else:
+                refuse(f"unknown {kind} {word!r}; expected one of {', '.join(choices)}")
+        refuse(f"the {kind} is missing; expected one of {', '.join(choices)}")
+
+    args.command = choose(_GRAMMAR, "command")
+    actions = _GRAMMAR[args.command][1]
+    if None in actions:
+        args.handler, flags = actions[None]
+    else:
+        args.action = choose(actions, "action")
+        args.handler, flags = actions[args.action]
+    table = dict(flags)
+    for name, keywords in flags:
+        setattr(args, _dest(name, keywords), _default(keywords))
+    given = set()
+    for word in words:
+        if word in _HELP:
+            _help_parser().parse_args([*path, "--help"])
+        name, equals, value = word.partition("=")
+        if name not in table:
+            refuse(f"unknown argument {word!r}; the flags are {', '.join(table)}, spelt in full")
+        if name in given:
+            refuse(f"{name} is given twice")
+        given.add(name)
+        keywords = table[name]
+        if keywords.get("action") == "store_true":
+            if equals:
+                refuse(f"{name} is a switch and takes no value")
+            value = True
+        elif not equals:
+            value = next(words, None)
+            if value is None:
+                refuse(f"{name} needs a value")
+        setattr(args, _dest(name, keywords), value)
+    missing = [name for name, keywords in flags if keywords.get("required") and name not in given]
+    if missing:
+        refuse(f"{', '.join(missing)} {'is' if len(missing) == 1 else 'are'} required")
+    return args
 
 
 def _dumps(payload: dict, pretty: bool) -> str:
@@ -365,8 +461,7 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv)
     pretty = args.pretty
     try:
         result = args.handler(args)

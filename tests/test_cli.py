@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pencilforge import cli
 from pencilforge.cli import main
 
 
@@ -455,3 +460,142 @@ def test_a_class_with_a_fixed_section_is_refused(capsys):
     code, payload = run(capsys, "pencil", "verify", "--spec", spec)
     assert code == 0 and payload["result"]["report"] == {
         "dim_lower_bound": 2, "genus_upper_bound": 0, "degree_to_base": 2, "is_valid_pair_member": False}
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process call; usage errors raise SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+CLASS = "[1,1,0,0,0,0,0,0,0,0]"
+
+
+@pytest.mark.parametrize("argv,where", [
+    ([], "pencilforge"),
+    (["--pretty"], "pencilforge"),
+    (["no-such-command"], "pencilforge"),
+    (["Class", "--class", CLASS], "pencilforge"),
+    (["pencil"], "pencil"),
+    (["pencil", "bogus"], "pencil"),
+    (["pencil", "--pretty", "verify", "--spec", "{}"], "pencil"),
+    (["class"], "class"),
+    (["class", "--clas", CLASS], "class"),
+    (["class", "--class"], "class"),
+    (["class", "--class", CLASS, "--class", CLASS], "class"),
+    (["class", "--class=" + CLASS, "--class=" + CLASS], "class"),
+    (["class", "--class", CLASS, "extra"], "class"),
+    (["class", "--class", CLASS, "--pretty"], "class"),
+    (["cremona", "--class", CLASS, "--max", "3"], "cremona"),
+    (["pencil", "search", "--model", "plane", "--orbits", ORBITS_1_2, "--n", "3"], "pencil search"),
+    (["pencil", "search", "--model", "plane", "--orbits", ORBITS_1_2], "pencil search"),
+    (["basechange", "transform", "--type", "I2", "--ramified=yes"], "basechange transform"),
+    (["basechange", "transform", "--type", "I2", "--ramified", "--ramified"], "basechange transform"),
+    (["kummer", "bound", "--h", "2"], "kummer bound"),
+    (["sections", "enumerate", "-d", "2"], "sections enumerate"),
+])
+def test_usage_errors_give_one_envelope_naming_the_path(argv, where):
+    # argparse printed usage text on stderr and nothing on stdout
+    code, out, err = call(argv)
+    payload = json.loads(out)
+    assert code == 2 and err == ""
+    assert payload["ok"] is False and set(payload) == {"ok", "error"}
+    assert payload["error"]["message"].startswith(where + ": ")
+
+
+def test_a_usage_error_after_pretty_is_indented():
+    code, out, _ = call(["--pretty", "class"])
+    assert code == 2 and out.startswith("{\n") and json.loads(out)["ok"] is False
+
+
+def test_a_negative_rational_is_a_flag_value():
+    # argparse took -1/2 for an option, a usage error; --alpha=-1/2 answered
+    for argv in (["--alpha", "-1/2"], ["--alpha=-1/2"]):
+        code, out, err = call(["kummer", "bound", "--h", "2", "--f1", "1", "--c-e", "1", *argv])
+        assert code == 3 and err == "" and "alpha must be strictly positive" in json.loads(out)["error"]["message"]
+    code, out, _ = call(["pencil", "verify", "--spec", "--pretty"])
+    assert code == 2 and out.startswith("{\"ok\": false") and "malformed JSON" in out
+
+
+LEAVES = [(command, action) for command, (_, actions) in cli._GRAMMAR.items() for action in actions]
+HELP_PAGES = [[]] + [[command] for command in cli._GRAMMAR] + [
+    [command, action] for command, action in LEAVES if action is not None]
+
+
+@pytest.mark.parametrize("path", HELP_PAGES, ids=lambda path: " ".join(path) or "top")
+def test_every_help_page_exits_zero_and_names_its_flags(path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*path, "--help"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: pencilforge " + " ".join(path))
+    actions = cli._GRAMMAR[path[0]][1] if path else {}
+    if path and (len(path) == 2 or None in actions):
+        for name, _ in actions[path[1] if len(path) == 2 else None][1]:
+            assert name in captured.out
+    else:
+        for word in (actions if path else cli._GRAMMAR):
+            assert word in captured.out
+
+
+def test_help_stands_where_a_command_an_action_or_a_flag_is_read(capsys):
+    for argv in (["--pretty", "-h"], ["pencil", "-h"], ["pencil", "search", "--model", "x", "-h"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pencilforge")
+    # in the place of a value it is the value
+    code, out, _ = call(["basechange", "transform", "--type", "-h"])
+    assert code == 3 and json.loads(out)["ok"] is False
+
+
+HELP_PARSER = cli._help_parser()
+# a space-form value must not look like an option to argparse
+ANY_VALUE = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+SPACED_VALUE = ANY_VALUE.filter(lambda value: not value.startswith("-"))
+
+
+@st.composite
+def well_formed_argv(draw):
+    command, action = draw(st.sampled_from(LEAVES))
+    flags = cli._GRAMMAR[command][1][action][1]
+    chosen = draw(st.permutations([flag for flag in flags if flag[1].get("required") or draw(st.booleans())]))
+    argv = ["--pretty"] * draw(st.integers(0, 2)) + [command] + ([action] if action else [])
+    for name, keywords in chosen:
+        if keywords.get("action") == "store_true":
+            argv.append(name)
+        elif draw(st.booleans()):
+            argv.append(f"{name}={draw(ANY_VALUE)}")
+        else:
+            argv += [name, draw(SPACED_VALUE)]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(well_formed_argv())
+def test_the_reader_agrees_with_argparse(argv):
+    args = vars(cli._read(argv))
+    assert args == vars(HELP_PARSER.parse_args(argv))
+    assert all(isinstance(value, (str, bool, type(None))) for key, value in args.items() if key != "handler")
+
+
+FLAG_NAMES = sorted({name for _, actions in cli._GRAMMAR.values()
+                     for _, flags in actions.values() for name, _ in flags} | {"--pretty"})
+FRAGMENTS = sorted(
+    {word for command, (_, actions) in cli._GRAMMAR.items() for word in (command, *actions) if word}
+    | set(FLAG_NAMES) | {name[:k] for name in FLAG_NAMES for k in range(1, len(name))}
+    | {"=", "-1/2", "\u0661", "\u0663", "", "0", "1", CLASS, "I2", "-"})
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=2).map("".join), max_size=8))
+def test_every_argv_gives_one_envelope(argv):
+    code, out, err = call(argv)
+    assert code in (0, 2, 3) and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is (code == 0)

@@ -78,18 +78,42 @@ def test_cli_import_loads_only_its_own_modules():
         "import sys\n"
         "import pencilforge.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('pencilforge')))\n"
-        "print('typing' in sys.modules, 'fractions' in sys.modules)\n"
+        "print('typing' in sys.modules, 'fractions' in sys.modules, 'argparse' in sys.modules)\n"
         "pencilforge.cli.main(['class', '--class', '[1,1,0,0,0,0,0,0,0,0]'])\n"
-        "print(sorted(m for m in sys.modules if m.startswith('pencilforge')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pencilforge')), 'argparse' in sys.modules)\n"
+        "pencilforge.cli.main(['cremona', '--class', '[1,1,0,0,0,0,0,0,0,0]'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pencilforge')), 'argparse' in sys.modules)\n"
     )
     done = run_fresh(code)
     assert done.returncode == 0, done.stderr
-    loaded, stdlib, envelope, after_class = done.stdout.splitlines()
-    own = "['pencilforge', 'pencilforge.cli', 'pencilforge.cremona', 'pencilforge.picard_lattice']"
+    loaded, stdlib, envelope, after_class, _, after_cremona = done.stdout.splitlines()
+    own = "['pencilforge', 'pencilforge.cli', 'pencilforge.picard_lattice']"
     assert loaded == own
-    assert stdlib == "False False"
+    assert stdlib == "False False False"
     assert envelope == '{"ok": true, "result": {"genus": 0, "degree_to_base": 2, "self_int": 0}}'
-    assert after_class == own
+    assert after_class == own + " False"
+    assert after_cremona == (
+        "['pencilforge', 'pencilforge.cli', 'pencilforge.cremona', 'pencilforge.picard_lattice'] False")
+
+
+def test_only_help_loads_argparse():
+    code = (
+        "import sys\n"
+        "import pencilforge.cli\n"
+        "try:\n"
+        "    pencilforge.cli.main(['no-such-command'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)\n"
+        "try:\n"
+        "    pencilforge.cli.main(['cremona', '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1] == "2 False" and lines[-1] == "0 True"
+    assert "step budget (default 64)" in done.stdout
 
 
 def test_submodule_import_binds_its_exports_first():
