@@ -23,10 +23,9 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .picard_lattice import strict_int
+from .picard_lattice import DERIVED, record, strict_int
 
 _IN_RE = re.compile(r"^I([0-9]+)(\*?)$")
 
@@ -47,7 +46,7 @@ _SIMPLE_TYPES = {
 }
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@record
 class KodairaFibre:
     """A singular-fibre type symbol with its numerical invariants.
 
@@ -57,10 +56,10 @@ class KodairaFibre:
     """
 
     symbol: str
-    index: int | None = field(init=False, compare=False, repr=False)  # n for I_n and I_n*
-    starred: bool = field(init=False, compare=False, repr=False)  # a multiple component
-    euler: int = field(init=False, compare=False, repr=False)  # local Euler number d_v
-    components: int = field(init=False, compare=False, repr=False)  # m_v
+    index: int | None = DERIVED  # n for I_n and I_n*
+    starred: bool = DERIVED  # a multiple component
+    euler: int = DERIVED  # local Euler number d_v
+    components: int = DERIVED  # m_v
 
     def __new__(cls, symbol: str) -> "KodairaFibre":
         if not isinstance(symbol, str):
@@ -126,7 +125,7 @@ def _place_id(place: object) -> str:
     return place
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FibreConfiguration:
     """Places of the base, each carrying a singular fibre type."""
 
@@ -166,7 +165,7 @@ class FibreConfiguration:
         return SMOOTH
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BranchLocus:
     """The two branch points of a quadratic cover of a genus-zero base."""
 

@@ -3,9 +3,11 @@
 Every invocation but a help request prints a single JSON envelope
 {"ok": ..., "result": ...} or {"ok": false, "error": {...}} on standard
 output and nothing on standard error.  Exit status is 0 on success, 2 for
-malformed input or usage and 3 for domain precondition violations.  Flag values holding JSON may be given inline or as
-"@path" to read the same JSON from a file.  A numeric flag takes an ASCII
-integer, [+-]digits; the rational flags also take p/q.
+malformed input or usage and 3 for domain precondition violations; the
+error object's "kind" is "input" or "domain" to match.  Flag values holding
+JSON may be given inline or as "@path" to read the same JSON from a file.  A
+numeric flag takes an ASCII integer, [+-]digits; the rational flags also
+take p/q.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import asdict
 from types import SimpleNamespace
 
 # A cold call pays for every import, so argparse (help pages only), cremona,
@@ -22,6 +23,9 @@ from types import SimpleNamespace
 # (postponed annotations).
 from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect
 
+
+# the "kind" of an error envelope, by exit status
+_KINDS = {2: "input", 3: "domain"}
 
 # the interpreter's default limit on the digits of an int read from or
 # written as text: pencilforge reads and prints no longer integer
@@ -139,7 +143,7 @@ def _branch_arg(value: str) -> base_change.BranchLocus:
 def _spec_result(spec: pencils.PencilSpec) -> dict:
     from . import pencils
 
-    return {**spec.to_json(), "report": asdict(pencils.verify(spec))}
+    return {**spec.to_json(), "report": pencils.verify(spec).to_json()}
 
 
 def _cmd_class(args) -> dict:
@@ -393,7 +397,7 @@ def _read(argv: list[str]) -> SimpleNamespace:
 
     def refuse(message: str) -> NoReturn:
         where = " ".join(path) or "pencilforge"
-        _emit({"ok": False, "error": {"message": f"{where}: {message}"}}, args.pretty)
+        _emit_error(2, f"{where}: {message}", args.pretty)
         raise SystemExit(2)
 
     def choose(choices, kind: str) -> str:
@@ -456,8 +460,9 @@ def _dumps(payload: dict, pretty: bool) -> str:
         raise _DigitLimit(3, "the result") from exc
 
 
-def _emit(payload: dict, pretty: bool) -> None:
-    print(_dumps(payload, pretty))
+def _emit_error(code: int, message: str, pretty: bool) -> int:
+    print(_dumps({"ok": False, "error": {"kind": _KINDS[code], "message": message}}, pretty))
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -468,20 +473,16 @@ def main(argv: list[str] | None = None) -> int:
         text = _dumps({"ok": True, "result": result}, pretty)
     except _DigitLimit as exc:
         command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
-        _emit({"ok": False, "error": {"message": (
+        return _emit_error(exc.code, (
             f"{command}: {exc} holds an integer of more than {_MAX_INT_DIGITS} digits, "
-            f"the most pencilforge reads or prints")}}, pretty)
-        return exc.code
+            f"the most pencilforge reads or prints"), pretty)
     except CliError as exc:
-        _emit({"ok": False, "error": {"message": str(exc)}}, pretty)
-        return exc.code
+        return _emit_error(exc.code, str(exc), pretty)
     except ValueError as exc:
-        _emit({"ok": False, "error": {"message": str(exc)}}, pretty)
-        return 3
+        return _emit_error(3, str(exc), pretty)
     except (KeyError, TypeError) as exc:
         # well-formed JSON of the wrong shape
-        _emit({"ok": False, "error": {"message": f"malformed input: {exc!r}"}}, pretty)
-        return 2
+        return _emit_error(2, f"malformed input: {exc!r}", pretty)
     print(text)
     return 0
 

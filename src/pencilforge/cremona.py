@@ -11,17 +11,16 @@ special point positions, and a failed reduction proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .picard_lattice import NumericalClass, _set_d, _set_m, strict_int
+from .picard_lattice import NumericalClass, _set_d, _set_m, record, strict_int
 
 DEFAULT_MAX_STEPS = 64
 
 _new = object.__new__
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CremonaStep:
     """One transformation: `after == quadratic_transform(before,*indices)`."""
 
@@ -37,7 +36,7 @@ class CremonaStep:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReductionCertificate:
     """Replayable chain of Cremona steps ending at `terminal`.
 

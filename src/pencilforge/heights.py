@@ -30,13 +30,12 @@ large I_n costs no more than a small one, and E_6, E_7, E_8 by inversion.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .base_change import KodairaFibre
-from .picard_lattice import NumericalClass, intersect, strict_fields, strict_int, weighted_vectors
+from .picard_lattice import NumericalClass, intersect, record, strict_fields, strict_int, weighted_vectors
 
 
 def invert_exact(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -115,7 +114,7 @@ def contribution(fibre: KodairaFibre | str, i: int, j: int) -> Fraction:
     return Fraction(*_correction(fibre, i, j))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SectionIntersections:
     """Intersection data determining the pairing of two sections P and Q.
 
@@ -193,7 +192,7 @@ def multiplication_pullback_degree(n: int) -> int:
     return n * n
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class KummerInputs:
     """Degree and field constants bounding division of a new section.
 
@@ -225,26 +224,27 @@ class KummerInputs:
 
 
 def _floor_root(value: Fraction, exponent: Fraction) -> int:
-    """Largest integer t >= 0 with t**exponent <= value, by integer search.
+    """Largest integer t >= 0 with t**exponent <= value.
 
-    With exponent p/q and value**q = num/den the test is t**p * den <= num:
-    double an upper bound, then bisect.
+    With exponent p/q and value**q = num/den the test is t**p * den <= num,
+    and as t**p is an integer that is t**p <= num // den: t is the integer
+    p-th root of num // den, found by Newton's iteration on integers from
+    2**ceil(bits / p), which is above it.
     """
     if value < 1:
         return 0
     p = exponent.numerator
     rhs = value ** exponent.denominator
-    num, den = rhs.numerator, rhs.denominator
-    lo, hi = 1, 2
-    while hi ** p * den <= num:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** p * den <= num:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    n = rhs.numerator // rhs.denominator
+    if p == 1:
+        return n
+    t = 1 << -(-n.bit_length() // p)
+    while True:
+        # from above, each step lowers t until it is the floor of the root
+        s = ((p - 1) * t + n // t ** (p - 1)) // p
+        if s >= t:
+            return t
+        t = s
 
 
 def kummer_bound(inputs: KummerInputs) -> int:

@@ -19,13 +19,12 @@ multiplicities capped at n_max + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .picard_lattice import (
     NumericalClass,
     arithmetic_genus,
     degree_to_base,
     intersect,
+    record,
     riemann_roch,
     strict_fields,
     strict_int,
@@ -72,7 +71,7 @@ def model_degree(model: str) -> int | None:
     return _MODEL_DEGREES[model]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OrbitStructure:
     """Galois orbit sizes of the blown-up points, one orbit designated rational.
 
@@ -105,7 +104,7 @@ class OrbitStructure:
         return {"orbit_sizes": list(self.sizes), "rational_orbit_index": self.rational_index}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PencilSpec:
     """A candidate linear system on a minimal model."""
 
@@ -163,7 +162,7 @@ class PencilSpec:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PencilReport:
     """Verification numbers for a spec and the combined validity verdict."""
 
@@ -172,15 +171,23 @@ class PencilReport:
     degree_to_base: int
     is_valid_pair_member: bool
 
+    def to_json(self) -> dict:
+        return {
+            "dim_lower_bound": self.dim_lower_bound,
+            "genus_upper_bound": self.genus_upper_bound,
+            "degree_to_base": self.degree_to_base,
+            "is_valid_pair_member": self.is_valid_pair_member,
+        }
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class Unsupported:
     """A model/orbit configuration the constructions do not cover."""
 
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DegreeSixReduction:
     """Rewrite instruction for a degree-six model: blow up one orbit."""
 

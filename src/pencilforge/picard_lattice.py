@@ -14,7 +14,6 @@ this convention, while the exceptional class E_j itself is (0; ..., m_j=-1,
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from math import isqrt
 from operator import index, mul
 
@@ -52,7 +51,7 @@ def strict_ints(values: Iterable[object], name: str) -> tuple[int, ...]:
 
 
 def strict_fields(obj: object, *names: str) -> None:
-    """Apply `strict_int` to the named fields of a frozen dataclass in its
+    """Apply `strict_int` to the named fields of a frozen record in its
     `__post_init__`; only values it converts are stored again."""
     for name in names:
         value = getattr(obj, name)
@@ -60,7 +59,129 @@ def strict_fields(obj: object, *names: str) -> None:
             object.__setattr__(obj, name, strict_int(value, name))
 
 
-@dataclass(frozen=True, init=False, slots=True)
+#: The class-body value of a record field that the record fills itself: the
+#: field is left out of `__init__`, equality, hashing and repr.
+DERIVED = object()
+
+
+def record(cls: type) -> type:
+    """The frozen, slotted record class that `cls`'s annotations describe.
+
+    It has the methods `@dataclass(frozen=True, slots=True)` writes, without
+    importing `dataclasses`:
+
+    * the fields as `__slots__`, so no `__dict__` and no weak references,
+      with class-body values as defaults, and `__match_args__`;
+    * an `__init__` taking the fields in order, positional or keyword, that
+      calls `__post_init__` when the class has one;
+    * `__eq__` between instances of one class and `__hash__`, both on the
+      tuple of the fields, and the dataclass `__repr__`;
+    * a `__setattr__` and a `__delattr__` that raise
+      `dataclasses.FrozenInstanceError`;
+    * `__getstate__` and `__setstate__` over the list of every field, so a
+      pickle is the dataclass's byte for byte.
+
+    A method the class defines itself is kept.  A `DERIVED` field is in the
+    slots and in the pickled state only.  `__dataclass_fields__` is read on
+    first use from a `dataclasses.make_dataclass` twin, so
+    `dataclasses.fields`, `replace`, `asdict` and `is_dataclass` work and
+    load `dataclasses` only then.
+    """
+    annotations = cls.__annotations__
+    body = {name: value for name, value in vars(cls).items() if name not in ("__dict__", "__weakref__")}
+    defaults = {name: body.pop(name) for name in annotations if name in body}
+    shown = [name for name in annotations if defaults.get(name) is not DERIVED]
+    body["__slots__"] = tuple(annotations)
+    body.setdefault("__match_args__", tuple(shown))
+    # the keywords of each field's `dataclasses.field`
+    options = {name: {"init": False, "repr": False, "compare": False} if value is DERIVED else {"default": value}
+               for name, value in defaults.items()}
+    spec = [(name, annotations[name], options.get(name, {})) for name in annotations]
+    body["__dataclass_fields__"] = _DataclassAttribute(spec)
+    body["__dataclass_params__"] = _DataclassAttribute(spec)
+    new = type(cls)(cls.__name__, cls.__bases__, body)
+
+    # the source of the methods dataclasses writes, for those the class does
+    # not define; each field is stored through its slot's own setter
+    values = "".join(f"self.{name}, " for name in shown)
+    others = "".join(f"other.{name}, " for name in shown)
+    params = ", ".join(f"{name}=_default_{name}" if name in defaults else name for name in shown)
+    source = {
+        "__init__": [f"def __init__(self, {params}):",
+                     *(f"    _set_{name}(self, {name})" for name in shown),
+                     *(["    self.__post_init__()"] if hasattr(new, "__post_init__") else [])],
+        "__eq__": ["def __eq__(self, other):",
+                   "    if other.__class__ is self.__class__:",
+                   f"        return ({values}) == ({others})",
+                   "    return NotImplemented"],
+        "__hash__": ["def __hash__(self):", f"    return hash(({values}))"],
+        "__repr__": ["def __repr__(self):",
+                     "    return f'{self.__class__.__qualname__}("
+                     + ", ".join(f"{name}={{self.{name}!r}}" for name in shown) + ")'"],
+    }
+    setters = [getattr(new, name).__set__ for name in annotations]
+    namespace = {**{f"_set_{name}": setter for name, setter in zip(annotations, setters)},
+                 **{f"_default_{name}": value for name, value in defaults.items()}}
+    exec("\n".join(line for name, lines in source.items() if name not in body for line in lines), namespace)
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in annotations]
+
+    def __setstate__(self, state):
+        for setter, value in zip(setters, state):
+            setter(self, value)
+
+    methods = {name: namespace.get(name) for name in source}
+    methods.update(__getstate__=__getstate__, __setstate__=__setstate__)
+    for name, method in methods.items():
+        if name not in body:
+            method.__qualname__ = f"{new.__qualname__}.{name}"
+            setattr(new, name, method)
+    new.__setattr__, new.__delattr__, new.__replace__ = _frozen_setattr, _frozen_delattr, _replace
+    return new
+
+
+class _DataclassAttribute:
+    # `__dataclass_fields__` or `__dataclass_params__` of a record (pprint
+    # reads the second of whatever `is_dataclass` accepts): on first read,
+    # both are taken from a `make_dataclass` twin with the same fields and
+    # stored on the class in place of their descriptors
+    def __init__(self, spec: list[tuple[str, str, dict]]) -> None:
+        self.spec = spec
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: type):
+        from dataclasses import field, make_dataclass
+
+        twin = make_dataclass(owner.__name__, [(name, annotation, field(**options))
+                                               for name, annotation, options in self.spec], frozen=True)
+        owner.__dataclass_fields__ = twin.__dataclass_fields__
+        owner.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(twin, self.name)
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _replace(self, /, **changes):
+    # `copy.replace` of a record (Python 3.13)
+    from dataclasses import replace
+
+    return replace(self, **changes)
+
+
+@record
 class NumericalClass:
     """A divisor class (d; m1, ..., m9) in the blow-up basis.
 

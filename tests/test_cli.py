@@ -599,3 +599,25 @@ def test_every_argv_gives_one_envelope(argv):
     assert code in (0, 2, 3) and err == ""
     payload = json.loads(out)
     assert payload["ok"] is (code == 0)
+    if code:
+        assert payload["error"]["kind"] == {2: "input", 3: "domain"}[code]
+
+
+def test_every_error_names_its_kind(capsys):
+    code, payload = run(capsys, "class", "--class", "[1,2")
+    assert code == 2 and payload["error"]["kind"] == "input"
+    code, payload = run(capsys, "kummer", "bound", "--h", "2", "--f1", "1", "--c-e", "1", "--alpha", "0")
+    assert code == 3 and payload["error"] == {"kind": "domain", "message": "alpha must be strictly positive, got 0"}
+    code, out, _ = call(["no-such-command"])
+    assert code == 2 and json.loads(out)["error"]["kind"] == "input"
+
+
+def test_a_tiny_alpha_is_refused_at_once(capsys):
+    # the torsion factor (10^20)^1000 has 20,001 digits; its root took
+    # seconds of bisection before the result was refused
+    start = time.process_time()
+    code, payload = run(capsys, "kummer", "bound", "--h", "100000000000000000000", "--f1", "1",
+                        "--c-e", "1", "--alpha", "1/1000")
+    assert code == 3 and payload["error"]["kind"] == "domain"
+    assert "more than 4300 digits" in payload["error"]["message"]
+    assert time.process_time() - start < 0.5

@@ -332,6 +332,27 @@ def test_kummer_bound_matches_linear_scan():
                 assert kummer_bound(KummerInputs(h, 1, c_e, alpha)) == want, (h, c_e, alpha)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.fractions(min_value=0, max_value=10 ** 30).filter(lambda v: v > 0),
+       st.integers(1, 40), st.integers(1, 12))
+def test_floor_root_meets_its_defining_inequality(value, p, q):
+    # t**(p/q) <= value < (t+1)**(p/q), as t**p * den <= num < (t+1)**p * den
+    # with value**q = num/den; the exponent is read in lowest terms
+    t = heights._floor_root(value, Fraction(p, q))
+    rhs = value ** Fraction(p, q).denominator
+    p = Fraction(p, q).numerator
+    assert type(t) is int and t >= 0
+    assert t ** p * rhs.denominator <= rhs.numerator < (t + 1) ** p * rhs.denominator
+
+
+def test_floor_root_of_a_tiny_exponent_is_immediate():
+    # (10^20)^1000 has 20,001 digits: bisection took seconds, the root is direct
+    start = time.process_time()
+    t = heights._floor_root(Fraction(10 ** 20), Fraction(1, 1000))
+    assert t == 10 ** 20000 and time.process_time() - start < 0.5
+    assert heights._floor_root(Fraction(2 ** 3000 + 1), Fraction(1000)) == 8
+
+
 def test_kummer_inputs_validation():
     with pytest.raises(ValueError):
         KummerInputs(0, 1, 1, 1)

@@ -131,3 +131,53 @@ def test_submodule_import_binds_its_exports_first():
     done = run_fresh(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "True"]
+
+
+# one well-formed request for each of the CLI's 11 leaves
+LEAF_REQUESTS = [
+    ["class", "--class", "[1,1,0,0,0,0,0,0,0,0]"],
+    ["cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]"],
+    ["pencil", "construct", "--model", "plane", "--orbits", '{"orbit_sizes": [1, 2, 2, 4]}'],
+    ["pencil", "search", "--model", "plane", "--orbits", '{"orbit_sizes": [1, 1, 1]}', "--n-max", "2"],
+    ["pencil", "verify", "--spec", '{"model": "plane", "level": 1, "mults": [1]}'],
+    ["basechange", "classify", "--config", '{"I0*": 1, "I1": 6}', "--branch", "v0,v1"],
+    ["basechange", "transform", "--type", "I3", "--ramified"],
+    ["height", "pair", "--data", '{"PO": 0, "QO": 0, "PQ": 0, "components": [[1, 1]]}', "--fibres", '["I2"]'],
+    ["height", "contrib", "--type", "IV*", "--i", "1", "--j", "2"],
+    ["sections", "enumerate", "--d-max", "1"],
+    ["kummer", "bound", "--h", "3", "--f1", "2/3", "--c-e", "1/2", "--alpha", "2"],
+]
+
+
+def test_no_request_loads_dataclasses_or_inspect():
+    # the records build their own methods: `dataclasses`, and `inspect` with
+    # it, load only when a caller asks for the dataclass API
+    code = (
+        "import sys\n"
+        "from pencilforge import cli\n"
+        f"for argv in {LEAF_REQUESTS!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pencilforge')))\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    *envelopes, loaded, stdlib = done.stdout.splitlines()
+    assert len(envelopes) == 11 and all(line.startswith('{"ok": true') for line in envelopes)
+    assert loaded == str(["pencilforge", *(f"pencilforge.{m}" for m in sorted(set(pencilforge._EXPORTS.values())
+                                                                               | {"cli"}))])
+    assert stdlib == "False False"
+
+
+def test_the_benchmark_warm_up_loads_neither():
+    symbols = ["I2", "I3", "I9", "III", "IV", "I0*", "I1*", "I4*", "IV*", "III*", "II*"]
+    code = (
+        "import sys\n"
+        "import pencilforge as pf\n"
+        f"for s in {symbols!r}:\n"
+        "    pf.contribution(s, 1, 1)\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
