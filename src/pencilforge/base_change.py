@@ -108,11 +108,7 @@ def _interned(raw: str) -> KodairaFibre:
             euler, components = index, max(index, 1)  # I0 is smooth, I1 nodal
     if symbol != raw:
         return _interned(symbol)
-    fibre = object.__new__(KodairaFibre)
-    for name, value in (("symbol", symbol), ("index", index), ("starred", symbol.endswith("*")),
-                        ("euler", euler), ("components", components)):
-        object.__setattr__(fibre, name, value)
-    return fibre
+    return KodairaFibre._of(symbol, index, symbol.endswith("*"), euler, components)
 
 
 SMOOTH = KodairaFibre("I0")

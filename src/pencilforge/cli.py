@@ -264,7 +264,18 @@ def _cmd_kummer(args) -> dict:
 
     inputs = heights.KummerInputs(_int_arg(args.h, "--h"), _fraction_arg(args.f1, "--f1"),
                                   _fraction_arg(args.c_e, "--c-e"), _fraction_arg(args.alpha, "--alpha"))
+    if _kummer_unprintable(inputs):
+        # refused before the torsion factor is formed, as `_dumps` refuses it after
+        raise _DigitLimit(3, "the result")
     return {"n0": heights.kummer_bound(inputs)}
+
+
+def _kummer_unprintable(inputs: heights.KummerInputs) -> bool:
+    # n0 = floor(h/f1) * floor(v ** (q/p)) with v = h/c_e > 2 ** k and alpha = p/q,
+    # so h >= f1 and k*q >= 14285*p give n0 >= 2 ** 14285 > 10 ** _MAX_INT_DIGITS
+    v, alpha = inputs.h / inputs.c_e, inputs.alpha
+    k = v.numerator.bit_length() - v.denominator.bit_length() - 1
+    return inputs.h >= inputs.f1 and k * alpha.denominator >= 14285 * alpha.numerator
 
 
 def _max_steps_default() -> str:

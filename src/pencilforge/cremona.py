@@ -99,7 +99,8 @@ def quadratic_transform(a: NumericalClass, i: int, j: int, k: int) -> NumericalC
     m[i] = d - mj - mk
     m[j] = d - mi - mk
     m[k] = d - mi - mj
-    # built from checked ints, as in `reduce_to_line`
+    # built from checked ints, as in `reduce_to_line`, with inline setters:
+    # a call to `NumericalClass._of` adds about 70 ns (CPython 3.11)
     new = _new(NumericalClass)
     _set_d(new, 2 * d - mi - mj - mk)
     _set_m(new, tuple(m))
@@ -160,6 +161,7 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
         m[j] = d - mi - mk
         m[k] = d - mi - mj
         d = 2 * d - mi - mj - mk
+        # inline setters: the generated `_of` pair adds about 70 ns a step (CPython 3.11)
         nxt = new(NumericalClass)
         set_d(nxt, d)
         set_m(nxt, tuple(m))

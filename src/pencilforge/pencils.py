@@ -132,17 +132,6 @@ class PencilSpec:
             raise ValueError(
                 f"a degree-{degree} del Pezzo model has {degree} blown-up points, got {len(self.mults)}")
 
-    @classmethod
-    def _of(cls, model: str, level: int, mults: tuple[int, ...], extra: int = 0) -> "PencilSpec":
-        """A spec from values derived from checked ones, stored unchecked
-        through its slots, past the frozen __setattr__."""
-        new = object.__new__(cls)
-        cls.model.__set__(new, model)
-        cls.level.__set__(new, level)
-        cls.mults.__set__(new, mults)
-        cls.extra_conditions.__set__(new, extra)
-        return new
-
     def to_json(self) -> dict:
         return {
             "model": self.model,

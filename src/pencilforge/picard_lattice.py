@@ -17,7 +17,6 @@ from collections.abc import Iterable, Sequence
 from math import isqrt
 from operator import index, mul
 
-_new = object.__new__
 _INT = frozenset({int})
 
 
@@ -74,6 +73,10 @@ def record(cls: type) -> type:
       with class-body values as defaults, and `__match_args__`;
     * an `__init__` taking the fields in order, positional or keyword, that
       calls `__post_init__` when the class has one;
+    * an unchecked classmethod `_of` taking every field, `DERIVED` ones too,
+      in pickled-state order with `__init__`'s defaults: it fills
+      `object.__new__(cls)` through the slot setters and runs neither
+      `__init__` nor `__post_init__`;
     * `__eq__` between instances of one class and `__hash__`, both on the
       tuple of the fields, and the dataclass `__repr__`;
     * a `__setattr__` and a `__delattr__` that raise
@@ -101,15 +104,20 @@ def record(cls: type) -> type:
     body["__dataclass_params__"] = _DataclassAttribute(spec)
     new = type(cls)(cls.__name__, cls.__bases__, body)
 
-    # the source of the methods dataclasses writes, for those the class does
-    # not define; each field is stored through its slot's own setter
+    # the source of the methods dataclasses writes, and of `_of`, for those the
+    # class does not define; each field is stored through its slot's own setter
     values = "".join(f"self.{name}, " for name in shown)
     others = "".join(f"other.{name}, " for name in shown)
-    params = ", ".join(f"{name}=_default_{name}" if name in defaults else name for name in shown)
+    param = {name: name if defaults.get(name, DERIVED) is DERIVED else f"{name}=_default_{name}"
+             for name in annotations}
     source = {
-        "__init__": [f"def __init__(self, {params}):",
+        "__init__": [f"def __init__(self, {', '.join(param[name] for name in shown)}):",
                      *(f"    _set_{name}(self, {name})" for name in shown),
                      *(["    self.__post_init__()"] if hasattr(new, "__post_init__") else [])],
+        "_of": [f"def _of(cls, {', '.join(param.values())}):",
+                "    self = _new(cls)",
+                *(f"    _set_{name}(self, {name})" for name in annotations),
+                "    return self"],
         "__eq__": ["def __eq__(self, other):",
                    "    if other.__class__ is self.__class__:",
                    f"        return ({values}) == ({others})",
@@ -120,7 +128,8 @@ def record(cls: type) -> type:
                      + ", ".join(f"{name}={{self.{name}!r}}" for name in shown) + ")'"],
     }
     setters = [getattr(new, name).__set__ for name in annotations]
-    namespace = {**{f"_set_{name}": setter for name, setter in zip(annotations, setters)},
+    namespace = {"_new": object.__new__,
+                 **{f"_set_{name}": setter for name, setter in zip(annotations, setters)},
                  **{f"_default_{name}": value for name, value in defaults.items()}}
     exec("\n".join(line for name, lines in source.items() if name not in body for line in lines), namespace)
 
@@ -136,7 +145,7 @@ def record(cls: type) -> type:
     for name, method in methods.items():
         if name not in body:
             method.__qualname__ = f"{new.__qualname__}.{name}"
-            setattr(new, name, method)
+            setattr(new, name, classmethod(method) if name == "_of" else method)
     new.__setattr__, new.__delattr__, new.__replace__ = _frozen_setattr, _frozen_delattr, _replace
     return new
 
@@ -201,15 +210,6 @@ class NumericalClass:
             raise ValueError(f"multiplicity vector must have length 9, got {len(m)}")
         _set_d(self, d)
         _set_m(self, m)
-
-    @classmethod
-    def _of(cls, d: int, m: tuple[int, ...]) -> "NumericalClass":
-        """A class from values the library derived from checked ints: an
-        exact int and a 9-tuple of exact ints, stored without re-checking."""
-        new = _new(cls)
-        _set_d(new, d)
-        _set_m(new, m)
-        return new
 
     @classmethod
     def from_list(cls, coords: Sequence[int]) -> "NumericalClass":

@@ -614,10 +614,24 @@ def test_every_error_names_its_kind(capsys):
 
 def test_a_tiny_alpha_is_refused_at_once(capsys):
     # the torsion factor (10^20)^1000 has 20,001 digits; its root took
-    # seconds of bisection before the result was refused
-    start = time.process_time()
-    code, payload = run(capsys, "kummer", "bound", "--h", "100000000000000000000", "--f1", "1",
-                        "--c-e", "1", "--alpha", "1/1000")
-    assert code == 3 and payload["error"]["kind"] == "domain"
-    assert "more than 4300 digits" in payload["error"]["message"]
-    assert time.process_time() - start < 0.5
+    # seconds of bisection before the result was refused.  (10^40)^1000000
+    # took 90 s to form before the pre-check refused it unformed
+    for h, alpha in [("1" + "0" * 20, "1/1000"), ("1" + "0" * 40, "1/1000000")]:
+        start = time.process_time()
+        code, payload = run(capsys, "kummer", "bound", "--h", h, "--f1", "1", "--c-e", "1", "--alpha", alpha)
+        assert code == 3 and payload == {"ok": False, "error": {"kind": "domain", "message": (
+            "kummer bound: the result holds an integer of more than 4300 digits, the most pencilforge reads or prints")}}
+        assert time.process_time() - start < 0.5
+
+
+FRACTIONS = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(1, 2 ** 80), f1=FRACTIONS, c_e=FRACTIONS, p=st.integers(1, 6), q=st.integers(1, 3000))
+def test_the_kummer_pre_check_refuses_only_unprintable_bounds(h, f1, c_e, p, q):
+    from pencilforge import heights
+
+    inputs = heights.KummerInputs(h, f1, c_e, Fraction(p, q))
+    if cli._kummer_unprintable(inputs):
+        assert heights.kummer_bound(inputs) >= 10 ** cli._MAX_INT_DIGITS

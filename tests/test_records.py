@@ -263,13 +263,30 @@ def test_dataclasses_helpers_alike(twin, record):
         assert dataclasses.astuple(value) == dataclasses.astuple(other)
         for f in dataclasses.fields(record):
             # the same result, or the same exception: a field out of
-            # `__init__` cannot be replaced, nor can BranchLocus's, whose own
-            # `__init__` takes two place ids
+            # `__init__` cannot be replaced (ValueError before Python 3.13,
+            # TypeError since), nor can BranchLocus's, whose own `__init__`
+            # takes two place ids
             results = [_outcome(dataclasses.replace, target, **{f.name: getattr(value, f.name)})
                        for target in (value, other)]
             assert results[0] == results[1]
             assert results[0] == (repr(value) if f.init and record is not pf.BranchLocus else TypeError
-                                  if f.init else ValueError)
+                                  if f.init or sys.version_info >= (3, 13) else ValueError)
+
+
+@pytest.mark.parametrize("record", [RECORDS[twin] for twin in TWINS], ids=IDS)
+def test_generated_of_skips_the_constructor(record, monkeypatch):
+    values = _samples(record)
+    calls = []
+    monkeypatch.setattr(record, "__init__", lambda self, *args, **kwargs: calls.append("__init__"))
+    monkeypatch.setattr(record, "__post_init__", lambda self: calls.append("__post_init__"), raising=False)
+    for value in values:
+        # every slot, in the order of the pickled state
+        built = record._of(*(getattr(value, name) for name in record.__slots__))
+        assert type(built) is record and built == value
+        assert repr(built) == repr(value) and hash(built) == hash(value)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(built, protocol) == pickle.dumps(value, protocol)
+    assert calls == []
 
 
 def _outcome(function, *args, **kwargs):
