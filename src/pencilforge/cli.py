@@ -49,7 +49,7 @@ def _text_arg(value: str) -> str:
         try:
             with open(value[1:], "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(2, f"cannot read {value[1:]}: {exc}") from exc
     return value
 
@@ -172,7 +172,7 @@ def _cmd_pencil_construct(args) -> dict:
 
     orbits = _orbits_arg(args.orbits)
     pattern = (tuple(_int_arg(p, "--cubic-pattern entry") for p in args.cubic_pattern.split(","))
-               if args.cubic_pattern else None)
+               if args.cubic_pattern is not None else None)
     result = pencils.construct_pencils(args.model, orbits, pattern)
     if isinstance(result, pencils.Unsupported):
         return {"supported": False, "reason": result.reason}
@@ -231,7 +231,7 @@ def _cmd_height_pair(args) -> Fraction:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, f"height data needs integer PO/QO/PQ and component pairs: {exc}") from exc
-    fibres = _json_arg(args.fibres) if args.fibres else []
+    fibres = _json_arg(args.fibres) if args.fibres is not None else []
     if not isinstance(fibres, list):
         raise CliError(2, "--fibres must be a JSON list of fibre symbols")
     return heights.height_pairing(data, _int_arg(args.chi, "--chi"), fibres)
@@ -247,7 +247,7 @@ def _cmd_sections(args) -> dict:
     from . import heights
 
     constraints = None
-    if args.constraints:
+    if args.constraints is not None:
         payload = _json_arg(args.constraints)
         if not isinstance(payload, list):
             raise CliError(2, "--constraints must be a JSON list of [class, value] pairs")

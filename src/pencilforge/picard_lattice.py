@@ -63,32 +63,74 @@ def strict_fields(obj: object, *names: str) -> None:
 DERIVED = object()
 
 
+class _Record:
+    """The base of every record: the dataclass methods that do not depend on the fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _shown(self) == _shown(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_shown(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __getstate__(self):
+        # every record slot, from a subclass too: the dataclass's pickle state, byte for byte
+        return [getattr(self, name) for cls in reversed(type(self).__mro__) for name in vars(cls).get("__slots__", ())]
+
+    def __setstate__(self, state):
+        names = [name for cls in reversed(type(self).__mro__) for name in vars(cls).get("__slots__", ())]
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, /, **changes):
+        # `copy.replace` of a record (Python 3.13)
+        from dataclasses import replace
+
+        return replace(self, **changes)
+
+
+def _shown(obj: _Record) -> tuple:
+    return tuple([getattr(obj, name) for name in obj.__match_args__])
+
+
 def record(cls: type) -> type:
     """The frozen, slotted record class that `cls`'s annotations describe.
 
-    It has the methods `@dataclass(frozen=True, slots=True)` writes, without
-    importing `dataclasses`:
+    It behaves as `@dataclass(frozen=True, slots=True)` makes a class,
+    without importing `dataclasses`: the fields are its `__slots__`, so no
+    `__dict__` and no weak references, with class-body values as defaults,
+    and its `__match_args__`.  Its one base, `_Record`, holds the methods
+    that do not depend on the fields; `record` compiles the two that do,
+    unless the class defines its own:
 
-    * the fields as `__slots__`, so no `__dict__` and no weak references,
-      with class-body values as defaults, and `__match_args__`;
     * an `__init__` taking the fields in order, positional or keyword, that
       calls `__post_init__` when the class has one;
     * an unchecked classmethod `_of` taking every field, `DERIVED` ones too,
       in pickled-state order with `__init__`'s defaults: it fills
       `object.__new__(cls)` through the slot setters and runs neither
-      `__init__` nor `__post_init__`;
-    * `__eq__` between instances of one class and `__hash__`, both on the
-      tuple of the fields, and the dataclass `__repr__`;
-    * a `__setattr__` and a `__delattr__` that raise
-      `dataclasses.FrozenInstanceError`;
-    * `__getstate__` and `__setstate__` over the list of every field, so a
-      pickle is the dataclass's byte for byte.
+      `__init__` nor `__post_init__`.
 
-    A method the class defines itself is kept.  A `DERIVED` field is in the
-    slots and in the pickled state only.  `__dataclass_fields__` is read on
-    first use from a `dataclasses.make_dataclass` twin, so
-    `dataclasses.fields`, `replace`, `asdict` and `is_dataclass` work and
-    load `dataclasses` only then.
+    A `DERIVED` field is in the slots and in the pickled state only.
+    `__dataclass_fields__` is read on first use from a
+    `dataclasses.make_dataclass` twin, so `dataclasses.fields`, `replace`,
+    `asdict` and `is_dataclass` work and load `dataclasses` only then.
     """
     annotations = cls.__annotations__
     body = {name: value for name, value in vars(cls).items() if name not in ("__dict__", "__weakref__")}
@@ -102,12 +144,9 @@ def record(cls: type) -> type:
     spec = [(name, annotations[name], options.get(name, {})) for name in annotations]
     body["__dataclass_fields__"] = _DataclassAttribute(spec)
     body["__dataclass_params__"] = _DataclassAttribute(spec)
-    new = type(cls)(cls.__name__, cls.__bases__, body)
+    new = type(cls)(cls.__name__, (_Record,), body)
 
-    # the source of the methods dataclasses writes, and of `_of`, for those the
-    # class does not define; each field is stored through its slot's own setter
-    values = "".join(f"self.{name}, " for name in shown)
-    others = "".join(f"other.{name}, " for name in shown)
+    # `__init__` and `_of` store each field through its slot's own setter
     param = {name: name if defaults.get(name, DERIVED) is DERIVED else f"{name}=_default_{name}"
              for name in annotations}
     source = {
@@ -118,35 +157,15 @@ def record(cls: type) -> type:
                 "    self = _new(cls)",
                 *(f"    _set_{name}(self, {name})" for name in annotations),
                 "    return self"],
-        "__eq__": ["def __eq__(self, other):",
-                   "    if other.__class__ is self.__class__:",
-                   f"        return ({values}) == ({others})",
-                   "    return NotImplemented"],
-        "__hash__": ["def __hash__(self):", f"    return hash(({values}))"],
-        "__repr__": ["def __repr__(self):",
-                     "    return f'{self.__class__.__qualname__}("
-                     + ", ".join(f"{name}={{self.{name}!r}}" for name in shown) + ")'"],
     }
-    setters = [getattr(new, name).__set__ for name in annotations]
     namespace = {"_new": object.__new__,
-                 **{f"_set_{name}": setter for name, setter in zip(annotations, setters)},
+                 **{f"_set_{name}": getattr(new, name).__set__ for name in annotations},
                  **{f"_default_{name}": value for name, value in defaults.items()}}
     exec("\n".join(line for name, lines in source.items() if name not in body for line in lines), namespace)
-
-    def __getstate__(self):
-        return [getattr(self, name) for name in annotations]
-
-    def __setstate__(self, state):
-        for setter, value in zip(setters, state):
-            setter(self, value)
-
-    methods = {name: namespace.get(name) for name in source}
-    methods.update(__getstate__=__getstate__, __setstate__=__setstate__)
-    for name, method in methods.items():
-        if name not in body:
-            method.__qualname__ = f"{new.__qualname__}.{name}"
-            setattr(new, name, classmethod(method) if name == "_of" else method)
-    new.__setattr__, new.__delattr__, new.__replace__ = _frozen_setattr, _frozen_delattr, _replace
+    for name in source.keys() - body.keys():
+        method = namespace[name]
+        method.__qualname__ = f"{new.__qualname__}.{name}"
+        setattr(new, name, classmethod(method) if name == "_of" else method)
     return new
 
 
@@ -169,25 +188,6 @@ class _DataclassAttribute:
         owner.__dataclass_fields__ = twin.__dataclass_fields__
         owner.__dataclass_params__ = twin.__dataclass_params__
         return getattr(twin, self.name)
-
-
-def _frozen_setattr(self, name: str, value: object) -> None:
-    from dataclasses import FrozenInstanceError
-
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name: str) -> None:
-    from dataclasses import FrozenInstanceError
-
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _replace(self, /, **changes):
-    # `copy.replace` of a record (Python 3.13)
-    from dataclasses import replace
-
-    return replace(self, **changes)
 
 
 @record

@@ -204,6 +204,19 @@ def test_file_input(capsys, tmp_path):
     assert payload["result"] == {"genus": 0, "degree_to_base": 2, "self_int": 0}
     code, payload = run(capsys, "class", "--class", "@/nonexistent/file.json")
     assert code == 2
+    # a file that is not UTF-8 is an input error for every JSON-valued flag
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    for argv in (["class", "--class"],
+                 ["pencil", "search", "--model", "plane", "--n-max", "2", "--orbits"],
+                 ["pencil", "verify", "--spec"],
+                 ["basechange", "classify", "--branch", "v0,v1", "--config"],
+                 ["height", "pair", "--data"],
+                 ["height", "pair", "--data", PAIR_DATA, "--fibres"],
+                 ["sections", "enumerate", "--constraints"]):
+        code, payload = run(capsys, *argv, f"@{bad}")
+        assert code == 2 and payload["error"]["kind"] == "input", argv
+        assert payload["error"]["message"].startswith(f"cannot read {bad}: "), argv
 
 
 def test_pretty_toggles_indentation_only(capsys):
@@ -272,6 +285,10 @@ PAIR_DATA = '{"PO": 0, "QO": 0, "PQ": -1, "components": [[1, 1]]}'
     (["height", "pair", "--data", PAIR_DATA, "--fibres", '["V"]'], 3),
     (["height", "pair", "--data", PAIR_DATA.replace("[[1, 1]]", "[[100000, 1]]"), "--fibres", '["I100000"]'], 3),
     (["height", "pair", "--data", PAIR_DATA.replace("[[1, 1]]", "[[-1, 0]]"), "--fibres", f'["{HUGE}"]'], 3),
+    # an empty value is read as given, not as an absent optional flag
+    (["height", "pair", "--data", PAIR_DATA, "--fibres="], 2),
+    (["pencil", "construct", "--model", "plane", "--orbits", '{"orbit_sizes":[1,3]}', "--cubic-pattern="], 2),
+    (["sections", "enumerate", "--constraints="], 2),
 ])
 def test_bad_fibre_symbols_give_one_envelope(capsys, argv, expected):
     # run() fails on a traceback, on anything written to stderr and on
@@ -279,6 +296,7 @@ def test_bad_fibre_symbols_give_one_envelope(capsys, argv, expected):
     code, payload = run(capsys, *argv)
     assert code == expected
     assert payload["ok"] is False and set(payload) == {"ok", "error"}
+    assert payload["error"]["kind"] == {2: "input", 3: "domain"}[expected]
 
 
 def test_place_ids_must_be_strings(capsys):

@@ -16,6 +16,7 @@ import dataclasses
 import inspect
 import os
 import pickle
+import pprint
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -242,6 +243,17 @@ def test_pickles_and_copies_alike(twin, record):
 
 
 @pytest.mark.parametrize("twin,record", PAIRS, ids=IDS)
+def test_a_subclass_pickles_and_copies_alike(twin, record):
+    # an instance of a subclass keeps the record's slots in its state
+    subclasses = [type("Sub", (cls,), {"__slots__": ()}) for cls in (record, twin)]
+    for value in _samples(record):
+        slots = [getattr(value, name) for name in record.__slots__]
+        assert [_twin_of(value, subclass).__getstate__() for subclass in subclasses] == [slots, slots]
+        copied = copy.copy(_twin_of(value, subclasses[0]))
+        assert [getattr(copied, name) for name in record.__slots__] == slots
+
+
+@pytest.mark.parametrize("twin,record", PAIRS, ids=IDS)
 def test_frozen_alike(twin, record):
     for value in _samples(record):
         other = _twin_of(value, twin)
@@ -271,6 +283,44 @@ def test_dataclasses_helpers_alike(twin, record):
             assert results[0] == results[1]
             assert results[0] == (repr(value) if f.init and record is not pf.BranchLocus else TypeError
                                   if f.init or sys.version_info >= (3, 13) else ValueError)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+@pytest.mark.parametrize("twin,record", PAIRS, ids=IDS)
+def test_copy_replace_alike(twin, record):
+    for value in _samples(record):
+        other = _twin_of(value, twin)
+        # every field with its own value (a DERIVED one is refused), then a
+        # name that is no field
+        changes = [{f.name: getattr(value, f.name)} for f in dataclasses.fields(record)] + [{"no_such_field": 0}]
+        for change in changes:
+            results = [_outcome(copy.replace, target, **change) for target in (value, other)]
+            assert results[0] == results[1], change
+        assert _outcome(copy.replace, value, no_such_field=0) is TypeError
+
+
+@pytest.mark.parametrize("record", [RECORDS[twin] for twin in TWINS], ids=IDS)
+def test_pprint_prints_the_repr(record):
+    # pprint lays out field by field only a `__repr__` that dataclasses wrote
+    for value in _samples(record):
+        assert pprint.pformat(value, width=10_000) == repr(value)
+        assert pprint.pformat(value, width=1)
+
+
+SHARED = ("__eq__", "__hash__", "__repr__", "__getstate__", "__setstate__", "__setattr__", "__delattr__",
+          "__replace__")
+
+
+@pytest.mark.parametrize("record", [RECORDS[twin] for twin in TWINS], ids=IDS)
+def test_records_share_one_base(record):
+    from pencilforge.picard_lattice import _Record
+
+    # only NumericalClass writes one of these methods itself, its repr
+    assert record.__bases__ == (_Record,)
+    own = {name for name in SHARED if name in vars(record)}
+    assert own == ({"__repr__"} if record is pf.NumericalClass else set())
+    for name in set(SHARED) - own:
+        assert getattr(record, name) is vars(_Record)[name]
 
 
 @pytest.mark.parametrize("record", [RECORDS[twin] for twin in TWINS], ids=IDS)
