@@ -151,9 +151,6 @@ class FibreConfiguration:
                 i += 1
         return cls(tuple(places))
 
-    def to_json(self) -> list[dict]:
-        return [{"place": place, "type": fibre.symbol} for place, fibre in self.places]
-
     def fibre_at(self, place: str) -> KodairaFibre:
         for p, fibre in self.places:
             if p == place:
@@ -207,9 +204,12 @@ def transform_fibre(fibre: KodairaFibre, ramified: bool) -> list[KodairaFibre]:
 
     Unramified places have two preimages carrying copies of the fibre.  A
     ramified place has one, with the type changed as in the module table.
+    `ramified` is True or False; any other value is a TypeError.
     """
     if not isinstance(fibre, KodairaFibre):
         fibre = KodairaFibre(fibre)
+    if ramified is not True and ramified is not False:
+        raise TypeError(f"ramified must be True or False, got {ramified!r}")
     if not ramified:
         return [fibre, fibre]
     n = fibre.index

@@ -8,6 +8,10 @@ error object's "kind" is "input" or "domain" to match.  Flag values holding
 JSON may be given inline or as "@path" to read the same JSON from a file.  A
 numeric flag takes an ASCII integer, [+-]digits; the rational flags also
 take p/q.
+
+`_dumps` is the one JSON writer.  A result holds JSON values and records: a
+record is written as the object of its fields in declaration order, a
+`NumericalClass` as [d, m1..m9], and a rational as the string "p/q".
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def _branch_arg(value: str) -> base_change.BranchLocus:
 def _spec_result(spec: pencils.PencilSpec) -> dict:
     from . import pencils
 
-    return {**spec.to_json(), "report": pencils.verify(spec).to_json()}
+    return {**_plain(spec), "report": pencils.verify(spec)}
 
 
 def _cmd_class(args) -> dict:
@@ -155,16 +159,11 @@ def _cmd_class(args) -> dict:
     }
 
 
-def _cmd_cremona(args) -> dict:
+def _cmd_cremona(args) -> cremona.ReductionCertificate:
     from . import cremona
 
     cls = _class_arg(args.cls)
-    certificate = cremona.reduce_to_line(cls, _int_arg(args.max_steps, "--max-steps"))
-    return {
-        "chain": certificate.to_json_list(),
-        "terminal": certificate.terminal.to_list(),
-        "success": certificate.success,
-    }
+    return cremona.reduce_to_line(cls, _int_arg(args.max_steps, "--max-steps"))
 
 
 def _cmd_pencil_construct(args) -> dict:
@@ -185,7 +184,7 @@ def _cmd_pencil_search(args) -> dict:
 
     orbits = _orbits_arg(args.orbits)
     found = pencils.search_pencils(args.model, orbits, _int_arg(args.n_max, "--n-max"))
-    return {"count": len(found), "specs": [spec.to_json() for spec in found]}
+    return {"count": len(found), "specs": found}
 
 
 def _cmd_pencil_verify(args) -> dict:
@@ -193,7 +192,9 @@ def _cmd_pencil_verify(args) -> dict:
 
     payload = _json_arg(args.spec)
     try:
-        spec = pencils.PencilSpec.from_json(payload)
+        # the constructor checks every integer strictly
+        spec = pencils.PencilSpec(payload["model"], payload["level"], tuple(payload["mults"]),
+                                  payload.get("extra_conditions", 0))
     except (KeyError, TypeError) as exc:
         raise CliError(2, f"spec object needs model and integer level/mults: {exc}") from exc
     return _spec_result(spec)
@@ -256,7 +257,7 @@ def _cmd_sections(args) -> dict:
         except (TypeError, ValueError) as exc:
             raise CliError(2, f"constraint entries must be [10-int class, value]: {exc}") from exc
     classes = heights.enumerate_section_classes(constraints, _int_arg(args.d_max, "--d-max"))
-    return {"count": len(classes), "classes": [c.to_list() for c in classes]}
+    return {"count": len(classes), "classes": classes}
 
 
 def _cmd_kummer(args) -> dict:
@@ -278,16 +279,10 @@ def _kummer_unprintable(inputs: heights.KummerInputs) -> bool:
     return inputs.h >= inputs.f1 and k * alpha.denominator >= 14285 * alpha.numerator
 
 
-def _max_steps_default() -> str:
-    from . import cremona
-
-    return str(cremona.DEFAULT_MAX_STEPS)
-
-
 # The grammar of every call: command -> (its help, {action: (handler, flags)}),
 # where a command without actions holds one leaf under None.  A flag is
 # (name, the keywords of its argparse add_argument); the reader and the help
-# parser both read them.  A callable default is resolved when it is needed.
+# parser both read them.  A default is the flag's text, read like a given value.
 _GRAMMAR = {
     "class": ("genus, base degree and self-intersection of a class", {None: (_cmd_class, (
         ("--class", {"dest": "cls", "required": True, "metavar": "JSON",
@@ -295,7 +290,7 @@ _GRAMMAR = {
     ))}),
     "cremona": ("greedy Cremona reduction certificate", {None: (_cmd_cremona, (
         ("--class", {"dest": "cls", "required": True, "metavar": "JSON"}),
-        ("--max-steps", {"default": _max_steps_default, "help": "step budget (default %(default)s)"}),
+        ("--max-steps", {"default": "64", "help": "step budget (default %(default)s)"}),
     ))}),
     "pencil": ("construct, search or verify pencil specs", {
         "construct": (_cmd_pencil_construct, (
@@ -364,8 +359,7 @@ def _dest(name: str, keywords: dict) -> str:
 def _default(keywords: dict):
     if keywords.get("action") == "store_true":
         return False
-    default = keywords.get("default")
-    return default() if callable(default) else default
+    return keywords.get("default")
 
 
 def _help_parser():
@@ -385,8 +379,6 @@ def _help_parser():
         for action, (handler, flags) in actions.items():
             p_leaf = p_command if action is None else action_sub.add_parser(action)
             for name, keywords in flags:
-                if callable(keywords.get("default")):
-                    keywords = {**keywords, "default": _default(keywords)}
                 p_leaf.add_argument(name, **keywords)
             p_leaf.set_defaults(handler=handler)
     return parser
@@ -461,10 +453,20 @@ def _read(argv: list[str]) -> SimpleNamespace:
     return args
 
 
+def _plain(obj):
+    """The JSON value of a result object that `json` cannot write itself."""
+    if type(obj) is NumericalClass:
+        return obj.to_list()
+    names = getattr(obj, "__match_args__", None)
+    if names is None:
+        # a rational, as "p/q"
+        return str(obj)
+    return {name: getattr(obj, name) for name in names}
+
+
 def _dumps(payload: dict, pretty: bool) -> str:
-    # a rational result prints as the string "p/q"
     try:
-        return json.dumps(payload, indent=2 if pretty else None, default=str)
+        return json.dumps(payload, indent=2 if pretty else None, default=_plain)
     except ValueError as exc:
         # json.dumps raises no other ValueError here: an integer in the
         # result is past the interpreter's digit limit

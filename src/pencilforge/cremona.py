@@ -28,13 +28,6 @@ class CremonaStep:
     before: NumericalClass
     after: NumericalClass
 
-    def to_json(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "before": self.before.to_list(),
-            "after": self.after.to_list(),
-        }
-
 
 @record
 class ReductionCertificate:
@@ -48,9 +41,6 @@ class ReductionCertificate:
     chain: tuple[CremonaStep, ...]
     terminal: NumericalClass
     success: bool
-
-    def to_json_list(self) -> list[dict]:
-        return [step.to_json() for step in self.chain]
 
 
 def _centre_table() -> list:

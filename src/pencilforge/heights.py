@@ -166,13 +166,18 @@ def enumerate_section_classes(
     A class (d; m) is a section class iff sum m_i^2 = d^2 + 1 and
     sum m_i = 3d - 1; its arithmetic genus is then automatically zero.
     Optional constraints are pairs (class, value) filtering on prescribed
-    intersection numbers.  `d_max` and the values are checked as exact ints;
+    intersection numbers.  `d_max` and the values are checked as exact ints
+    and the constraint classes as `NumericalClass`es, all before enumerating;
     the classes are built from enumerator ints without a second check.
     """
     d_max = strict_int(d_max, "d_max")
     if d_max < 0:
         raise ValueError(f"d_max must be non-negative, got {d_max}")
-    pinned = [(cls, strict_int(value, "constraint value")) for cls, value in constraints or ()]
+    pinned = []
+    for cls, value in constraints or ():
+        if not isinstance(cls, NumericalClass):
+            raise TypeError(f"a constraint class must be a NumericalClass, got {cls!r}")
+        pinned.append((cls, strict_int(value, "constraint value")))
     found: list[NumericalClass] = []
     for d in range(-d_max, d_max + 1):
         square_sum = d * d + 1

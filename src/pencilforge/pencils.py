@@ -100,9 +100,6 @@ class OrbitStructure:
     def total_points(self) -> int:
         return sum(self.sizes)
 
-    def to_json(self) -> dict:
-        return {"orbit_sizes": list(self.sizes), "rational_orbit_index": self.rational_index}
-
 
 @record
 class PencilSpec:
@@ -132,24 +129,6 @@ class PencilSpec:
             raise ValueError(
                 f"a degree-{degree} del Pezzo model has {degree} blown-up points, got {len(self.mults)}")
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "level": self.level,
-            "mults": list(self.mults),
-            "extra_conditions": self.extra_conditions,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "PencilSpec":
-        # the constructor checks every integer strictly
-        return cls(
-            payload["model"],
-            payload["level"],
-            tuple(payload["mults"]),
-            payload.get("extra_conditions", 0),
-        )
-
 
 @record
 class PencilReport:
@@ -159,14 +138,6 @@ class PencilReport:
     genus_upper_bound: int
     degree_to_base: int
     is_valid_pair_member: bool
-
-    def to_json(self) -> dict:
-        return {
-            "dim_lower_bound": self.dim_lower_bound,
-            "genus_upper_bound": self.genus_upper_bound,
-            "degree_to_base": self.degree_to_base,
-            "is_valid_pair_member": self.is_valid_pair_member,
-        }
 
 
 @record

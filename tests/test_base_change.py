@@ -74,6 +74,15 @@ def test_ramified_reduced_fibres_double():
     assert [f.symbol for f in transform_fibre(KodairaFibre("IV"), True)] == ["IV*"]
 
 
+def test_ramified_takes_a_bool_only():
+    # transform_fibre("I2", "no") used to ramify: any true value did
+    for ramified in ("no", "", 0, 1, None, 1.0):
+        with pytest.raises(TypeError, match="ramified must be True or False"):
+            transform_fibre(KodairaFibre("I2"), ramified)
+    assert [f.symbol for f in transform_fibre("I2", False)] == ["I2", "I2"]
+    assert [f.symbol for f in transform_fibre("I2", True)] == ["I4"]
+
+
 ALL_SYMBOLS = [f"I{n}" for n in range(13)] + [f"I{n}*" for n in range(7)] + [
     "II", "III", "IV", "II*", "III*", "IV*"]
 
@@ -117,11 +126,11 @@ def test_branch_over_smooth_places_gives_k3():
 
 def test_configuration_validation_and_serialization():
     config = FibreConfiguration.from_counts({"I0*": 1, "I1": 2})
-    assert config.to_json() == [
-        {"place": "v0", "type": "I0*"},
-        {"place": "v1", "type": "I1"},
-        {"place": "v2", "type": "I1"},
-    ]
+    assert config.places == (
+        ("v0", KodairaFibre("I0*")),
+        ("v1", KodairaFibre("I1")),
+        ("v2", KodairaFibre("I1")),
+    )
     with pytest.raises(ValueError):
         FibreConfiguration((("v0", "I1"), ("v0", "I2")))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import time
@@ -236,7 +237,7 @@ def test_usage_error_exit_code():
 
 
 def test_outputs_reparse_into_their_types(capsys):
-    from pencilforge import FibreConfiguration, NumericalClass, PencilSpec
+    from pencilforge import NumericalClass
 
     _, payload = run(capsys, "cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]")
     for step in payload["result"]["chain"]:
@@ -244,19 +245,120 @@ def test_outputs_reparse_into_their_types(capsys):
         NumericalClass.from_list(step["after"])
     NumericalClass.from_list(payload["result"]["terminal"])
 
+    # every spec a search writes is read back by `pencil verify`, which echoes it
     _, payload = run(capsys, "pencil", "search", "--model", "dp4",
                      "--orbits", '{"orbit_sizes": [1, 3]}', "--n-max", "3")
+    assert payload["result"]["specs"]
     for raw in payload["result"]["specs"]:
-        spec = PencilSpec.from_json(raw)
-        assert spec.to_json() == raw
+        code, echoed = run(capsys, "pencil", "verify", "--spec", json.dumps(raw))
+        assert code == 0
+        assert {key: value for key, value in echoed["result"].items() if key != "report"} == raw
 
-    config = FibreConfiguration.from_counts({"I0*": 1, "I1": 6})
-    rebuilt = FibreConfiguration(tuple((e["place"], e["type"]) for e in config.to_json()))
-    assert rebuilt == config
+    # the place/type list form of a configuration classifies as its count form
+    counts = {"I0*": 1, "I1": 6}
+    places = [{"place": "v0", "type": "I0*"}] + [{"place": f"v{i}", "type": "I1"} for i in range(1, 7)]
+    for branch in ("v0,v1", "v1,v2", "p,q"):
+        _, by_counts = run(capsys, "basechange", "classify", "--config", json.dumps(counts), "--branch", branch)
+        _, by_places = run(capsys, "basechange", "classify", "--config", json.dumps(places), "--branch", branch)
+        assert by_places == by_counts and by_counts["ok"] is True
 
     _, payload = run(capsys, "sections", "enumerate", "--d-max", "1")
     for coords in payload["result"]["classes"]:
         NumericalClass.from_list(coords)
+
+
+# What each command writes, rendered from field reads and `dataclasses.asdict`
+# alone: a record is the object of its fields in declaration order and a class
+# is [d, m1..m9].  Text and key order are compared, so --pretty is checked too.
+def _written_class(cls):
+    return [cls.d, *cls.m]
+
+
+def _written_spec(spec):
+    from pencilforge import verify
+
+    return {**dataclasses.asdict(spec), "mults": list(spec.mults),
+            "report": dataclasses.asdict(verify(spec))}
+
+
+def _written_certificate(certificate):
+    return {
+        "chain": [{"indices": list(step.indices), "before": _written_class(step.before),
+                   "after": _written_class(step.after)} for step in certificate.chain],
+        "terminal": _written_class(certificate.terminal),
+        "success": certificate.success,
+    }
+
+
+def _expected_search(model, orbits, n_max):
+    from pencilforge import OrbitStructure, search_pencils
+
+    found = search_pencils(model, OrbitStructure(tuple(orbits)), n_max)
+    return {"count": len(found), "specs": [{**dataclasses.asdict(spec), "mults": list(spec.mults)}
+                                           for spec in found]}
+
+
+def _expected_construct(model, orbits):
+    from pencilforge import OrbitStructure, Unsupported, construct_pencils
+
+    result = construct_pencils(model, OrbitStructure(tuple(orbits)))
+    if isinstance(result, Unsupported):
+        return {"supported": False, "reason": result.reason}
+    return {"supported": True, "l1": _written_spec(result[0]), "l2": _written_spec(result[1])}
+
+
+def _expected_verify(payload):
+    from pencilforge import PencilSpec
+
+    return _written_spec(PencilSpec(payload["model"], payload["level"], tuple(payload["mults"]),
+                                    payload.get("extra_conditions", 0)))
+
+
+def _expected_cremona(coords, max_steps=64):
+    from pencilforge import NumericalClass, reduce_to_line
+
+    return _written_certificate(reduce_to_line(NumericalClass(coords[0], tuple(coords[1:])), max_steps))
+
+
+WRITER_CASES = [
+    (["pencil", "search", "--model", "dp4", "--orbits", '{"orbit_sizes": [1, 3]}', "--n-max", "3"],
+     lambda: _expected_search("dp4", [1, 3], 3)),
+    (["pencil", "search", "--model", "plane", "--orbits", '{"orbit_sizes": [1, 2, 6]}', "--n-max", "2"],
+     lambda: _expected_search("plane", [1, 2, 6], 2)),
+    (["pencil", "construct", "--model", "dp5", "--orbits", '{"orbit_sizes": [1, 4]}'],
+     lambda: _expected_construct("dp5", [1, 4])),
+    (["pencil", "construct", "--model", "plane", "--orbits", '{"orbit_sizes": [1, 2, 3, 3]}'],
+     lambda: _expected_construct("plane", [1, 2, 3, 3])),
+    (["pencil", "construct", "--model", "dp7", "--orbits", '{"orbit_sizes": [1, 6]}'],
+     lambda: _expected_construct("dp7", [1, 6])),
+    (["pencil", "verify", "--spec", '{"model": "plane", "level": 2, "mults": [1, 1, 0]}'],
+     lambda: _expected_verify({"model": "plane", "level": 2, "mults": [1, 1, 0]})),
+    (["pencil", "verify", "--spec", '{"model": "dp4", "level": 3, "mults": [2, 1, 1, 1], "extra_conditions": 1}'],
+     lambda: _expected_verify({"model": "dp4", "level": 3, "mults": [2, 1, 1, 1], "extra_conditions": 1})),
+    (["cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]"],
+     lambda: _expected_cremona([6, 2, 2, 2, 2, 4, 1, 1, 1, 1])),
+    (["cremona", "--class", "[6,2,2,2,2,4,1,1,1,1]", "--max-steps", "1"],
+     lambda: _expected_cremona([6, 2, 2, 2, 2, 4, 1, 1, 1, 1], 1)),
+    (["cremona", "--class", "[3,1,1,1,1,1,1,1,1,1]"],
+     lambda: _expected_cremona([3, 1, 1, 1, 1, 1, 1, 1, 1, 1])),
+]
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize("argv,expected", WRITER_CASES, ids=[" ".join(argv[:2]) for argv, _ in WRITER_CASES])
+def test_the_writer_matches_a_rendering_from_the_fields(argv, expected, pretty):
+    code, out, err = call((["--pretty"] if pretty else []) + argv)
+    envelope = {"ok": True, "result": expected()}
+    assert code == 0 and err == ""
+    assert json.loads(out) == envelope
+    assert out == json.dumps(envelope, indent=2 if pretty else None) + "\n"
+
+
+def test_the_max_steps_default_is_the_library_default():
+    from pencilforge import cremona
+
+    flags = dict(cli._GRAMMAR["cremona"][1][None][1])
+    assert flags["--max-steps"]["default"] == "64" == str(cremona.DEFAULT_MAX_STEPS)
 
 
 HUGE = "I" + "9" * 5000  # beyond the interpreter's default int-parsing limit

@@ -222,6 +222,18 @@ def test_constraint_values_are_checked_before_enumerating(monkeypatch):
             heights.enumerate_section_classes([(exceptional(1), value)], d_max=10)
 
 
+def test_constraint_classes_are_checked_before_enumerating(monkeypatch):
+    # a list or a tuple in place of a class used to enumerate everything and
+    # then raise AttributeError from `intersect`
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before checking the constraints")
+
+    monkeypatch.setattr(heights, "weighted_vectors", no_enumeration)
+    for cls in ("x", [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], (1, (0,) * 9), None):
+        with pytest.raises(TypeError, match="constraint class must be a NumericalClass"):
+            heights.enumerate_section_classes([(exceptional(1), 0), (cls, 1)], d_max=1)
+
+
 def test_section_data_and_constraints_take_exact_integers_only():
     for args in ((True, 1.5, 0), (0, 0, 1.0), (0, 0, -1, ((1, True),)), (0, 0, -1, ((1, 1.5),))):
         with pytest.raises(TypeError):

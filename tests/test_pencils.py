@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pencilforge.cli import main
 from pencilforge.cremona import is_connected_class, reduce_to_line
 from pencilforge.pencils import (
     DegreeSixReduction,
@@ -456,18 +460,29 @@ def test_verify_rejects_a_non_integer_level():
         verify(PencilSpec("plane", 2.5, (1,)))
 
 
+def _verify_spec(payload):
+    # (exit code, parsed envelope) of `pencil verify --spec` on a JSON payload
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["pencil", "verify", "--spec", json.dumps(payload)])
+    return code, json.loads(out.getvalue())
+
+
 def test_spec_and_orbits_take_exact_integers_only():
     for level, mults, extra in ((2.5, (1,), 0), (2, (1.9,), 0), (2, (True,), 0),
                                 (True, (1,), 0), (2, (1,), 0.5), (2, (1,), False)):
         with pytest.raises(TypeError):
             PencilSpec("plane", level, mults, extra)
-    with pytest.raises(TypeError):
-        PencilSpec.from_json({"model": "plane", "level": 2.7, "mults": [True, 1.9]})
-    with pytest.raises(TypeError):
-        PencilSpec.from_json({"model": "plane", "level": "2", "mults": [1]})
-    with pytest.raises(TypeError):
-        PencilSpec.from_json({"model": "plane", "level": 2, "mults": [1], "extra_conditions": 1.0})
-    assert PencilSpec.from_json({"model": "plane", "level": 2, "mults": [1]}) == PencilSpec("plane", 2, (1,))
+    # a JSON spec is read by `pencil verify`: a float, a bool or a string is an input error
+    for payload in ({"model": "plane", "level": 2.7, "mults": [True, 1.9]},
+                    {"model": "plane", "level": "2", "mults": [1]},
+                    {"model": "plane", "level": 2, "mults": [1], "extra_conditions": 1.0}):
+        code, out = _verify_spec(payload)
+        assert code == 2 and out["error"]["kind"] == "input"
+    code, out = _verify_spec({"model": "plane", "level": 2, "mults": [1]})
+    assert code == 0
+    assert {key: out["result"][key] for key in ("model", "level", "mults", "extra_conditions")} == {
+        "model": "plane", "level": 2, "mults": [1], "extra_conditions": 0}
 
     class Two:
         def __index__(self):
