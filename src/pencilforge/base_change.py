@@ -67,9 +67,9 @@ class KodairaFibre:
         return _interned(symbol)
 
     def __init__(self, symbol: str) -> None:
-        # `__new__` returned a complete instance.  Defined all the same so
-        # that a wrapper of `__init__` (a tracer's) can pass the symbol on:
-        # object.__init__ rejects it once the class overrides `__init__`.
+        # `__new__` returned the complete interned instance.  Without this,
+        # `record` would generate an `__init__` that stores the raw spelling
+        # on it: KodairaFibre(" I_2 ").symbol would read " I_2 ".
         pass
 
     def __reduce__(self):

@@ -4,14 +4,16 @@ Every invocation but a help request prints a single JSON envelope
 {"ok": ..., "result": ...} or {"ok": false, "error": {...}} on standard
 output and nothing on standard error.  Exit status is 0 on success, 2 for
 malformed input or usage and 3 for domain precondition violations; the
-error object's "kind" is "input" or "domain" to match.  Flag values holding
-JSON may be given inline or as "@path" to read the same JSON from a file.  A
-numeric flag takes an ASCII integer, [+-]digits; the rational flags also
-take p/q.
+error object's "kind" is "input" or "domain" to match.  Exit status 1 means
+standard output was closed before all was written, as by `| head`; standard
+error stays empty then too.  Flag values holding JSON may be given inline or
+as "@path" to read the same JSON from a file.  A numeric flag takes an ASCII
+integer, [+-]digits; the rational flags also take p/q.
 
-`_dumps` is the one JSON writer.  A result holds JSON values and records: a
-record is written as the object of its fields in declaration order, a
-`NumericalClass` as [d, m1..m9], and a rational as the string "p/q".
+`_dumps` is the one JSON writer and `_write` the one place that prints.  A
+result holds JSON values and records: a record is written as the object of
+its fields in declaration order, a `NumericalClass` as [d, m1..m9], and a
+rational as the string "p/q".
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ import re
 import sys
 from types import SimpleNamespace
 
-# A cold call pays for every import, so argparse (help pages only), cremona,
-# pencils, heights, base_change and fractions are imported inside the
-# functions that use them; annotations naming them are never evaluated
-# (postponed annotations).
+# A cold call pays for every import.  The library is reached as `pf.<export>`:
+# the package loads the submodule that its `_EXPORTS` names on first use, so a
+# call loads only what its subcommand needs.  argparse (help pages only), os
+# (a closed stdout only) and fractions are imported inside the functions that
+# use them; annotations are never evaluated (postponed annotations).
+import pencilforge as pf
+
 from .picard_lattice import NumericalClass, arithmetic_genus, degree_to_base, intersect
 
 
@@ -110,143 +115,106 @@ def _fraction_arg(value: str, name: str) -> Fraction:
         raise _DigitLimit(2, "an input") from exc
 
 
-def _orbits_arg(value: str) -> pencils.OrbitStructure:
-    from . import pencils
-
+def _orbits_arg(value: str) -> pf.OrbitStructure:
     payload = _json_arg(value)
     if not isinstance(payload, dict) or "orbit_sizes" not in payload:
         raise CliError(2, "orbits must be JSON like {\"orbit_sizes\": [...], \"rational_orbit_index\": 0}")
     # OrbitStructure checks sizes and index strictly (TypeError, exit 2)
-    return pencils.OrbitStructure(
-        tuple(payload["orbit_sizes"]),
-        payload.get("rational_orbit_index", 0),
-    )
+    return pf.OrbitStructure(tuple(payload["orbit_sizes"]), payload.get("rational_orbit_index", 0))
 
 
-def _config_arg(value: str) -> base_change.FibreConfiguration:
-    from . import base_change
-
+def _config_arg(value: str) -> pf.FibreConfiguration:
     payload = _json_arg(value)
     if isinstance(payload, dict):
-        return base_change.FibreConfiguration.from_counts(payload)
+        return pf.FibreConfiguration.from_counts(payload)
     if isinstance(payload, list):
-        return base_change.FibreConfiguration(
-            tuple((entry["place"], entry["type"]) for entry in payload))
+        return pf.FibreConfiguration(tuple((entry["place"], entry["type"]) for entry in payload))
     raise CliError(2, "config must be a {type: count} object or a [{place, type}] list")
 
 
-def _branch_arg(value: str) -> base_change.BranchLocus:
-    from . import base_change
-
+def _branch_arg(value: str) -> pf.BranchLocus:
     parts = [p.strip() for p in value.split(",") if p.strip()]
     if len(parts) != 2:
         raise CliError(2, f"--branch takes two comma-separated place ids, got {value!r}")
-    return base_change.BranchLocus(parts[0], parts[1])
+    return pf.BranchLocus(parts[0], parts[1])
 
 
-def _spec_result(spec: pencils.PencilSpec) -> dict:
-    from . import pencils
-
-    return {**_plain(spec), "report": pencils.verify(spec)}
+def _spec_result(spec: pf.PencilSpec) -> dict:
+    return {**_plain(spec), "report": pf.verify(spec)}
 
 
 def _cmd_class(args) -> dict:
     cls = _class_arg(args.cls)
-    return {
-        "genus": arithmetic_genus(cls),
-        "degree_to_base": degree_to_base(cls),
-        "self_int": intersect(cls, cls),
-    }
+    return {"genus": arithmetic_genus(cls), "degree_to_base": degree_to_base(cls),
+            "self_int": intersect(cls, cls)}
 
 
-def _cmd_cremona(args) -> cremona.ReductionCertificate:
-    from . import cremona
-
+def _cmd_cremona(args) -> pf.ReductionCertificate:
     cls = _class_arg(args.cls)
-    return cremona.reduce_to_line(cls, _int_arg(args.max_steps, "--max-steps"))
+    return pf.reduce_to_line(cls, _int_arg(args.max_steps, "--max-steps"))
 
 
 def _cmd_pencil_construct(args) -> dict:
-    from . import pencils
-
     orbits = _orbits_arg(args.orbits)
     pattern = (tuple(_int_arg(p, "--cubic-pattern entry") for p in args.cubic_pattern.split(","))
                if args.cubic_pattern is not None else None)
-    result = pencils.construct_pencils(args.model, orbits, pattern)
-    if isinstance(result, pencils.Unsupported):
+    result = pf.construct_pencils(args.model, orbits, pattern)
+    if isinstance(result, pf.Unsupported):
         return {"supported": False, "reason": result.reason}
     first, second = result
     return {"supported": True, "l1": _spec_result(first), "l2": _spec_result(second)}
 
 
 def _cmd_pencil_search(args) -> dict:
-    from . import pencils
-
     orbits = _orbits_arg(args.orbits)
-    found = pencils.search_pencils(args.model, orbits, _int_arg(args.n_max, "--n-max"))
+    found = pf.search_pencils(args.model, orbits, _int_arg(args.n_max, "--n-max"))
     return {"count": len(found), "specs": found}
 
 
 def _cmd_pencil_verify(args) -> dict:
-    from . import pencils
-
     payload = _json_arg(args.spec)
     try:
         # the constructor checks every integer strictly
-        spec = pencils.PencilSpec(payload["model"], payload["level"], tuple(payload["mults"]),
-                                  payload.get("extra_conditions", 0))
+        spec = pf.PencilSpec(payload["model"], payload["level"], tuple(payload["mults"]),
+                             payload.get("extra_conditions", 0))
     except (KeyError, TypeError) as exc:
         raise CliError(2, f"spec object needs model and integer level/mults: {exc}") from exc
     return _spec_result(spec)
 
 
 def _cmd_basechange_classify(args) -> str:
-    from . import base_change
-
     config = _config_arg(args.config)
     branch = _branch_arg(args.branch)
-    return base_change.classify_quadratic_base_change(config, branch).value
+    return pf.classify_quadratic_base_change(config, branch).value
 
 
 def _cmd_basechange_transform(args) -> dict:
-    from . import base_change
-
-    fibre = base_change.KodairaFibre(args.type)
-    images = base_change.transform_fibre(fibre, args.ramified)
+    fibre = pf.KodairaFibre(args.type)
+    images = pf.transform_fibre(fibre, args.ramified)
     return {"fibres": [f.symbol for f in images], "euler": sum(f.euler for f in images)}
 
 
 def _cmd_height_pair(args) -> Fraction:
-    from . import heights
-
     payload = _json_arg(args.data)
     if not isinstance(payload, dict):
         raise CliError(2, "height data must be a JSON object")
     try:
         # SectionIntersections checks every integer strictly
-        data = heights.SectionIntersections(
-            payload["PO"],
-            payload["QO"],
-            payload["PQ"],
-            tuple((a, b) for a, b in payload.get("components", [])),
-        )
+        data = pf.SectionIntersections(payload["PO"], payload["QO"], payload["PQ"],
+                                       tuple((a, b) for a, b in payload.get("components", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(2, f"height data needs integer PO/QO/PQ and component pairs: {exc}") from exc
     fibres = _json_arg(args.fibres) if args.fibres is not None else []
     if not isinstance(fibres, list):
         raise CliError(2, "--fibres must be a JSON list of fibre symbols")
-    return heights.height_pairing(data, _int_arg(args.chi, "--chi"), fibres)
+    return pf.height_pairing(data, _int_arg(args.chi, "--chi"), fibres)
 
 
 def _cmd_height_contrib(args) -> Fraction:
-    from . import heights
-
-    return heights.contribution(args.type, _int_arg(args.i, "--i"), _int_arg(args.j, "--j"))
+    return pf.contribution(args.type, _int_arg(args.i, "--i"), _int_arg(args.j, "--j"))
 
 
 def _cmd_sections(args) -> dict:
-    from . import heights
-
     constraints = None
     if args.constraints is not None:
         payload = _json_arg(args.constraints)
@@ -256,27 +224,30 @@ def _cmd_sections(args) -> dict:
             constraints = [(_class_from_json(cls), value) for cls, value in payload]
         except (TypeError, ValueError) as exc:
             raise CliError(2, f"constraint entries must be [10-int class, value]: {exc}") from exc
-    classes = heights.enumerate_section_classes(constraints, _int_arg(args.d_max, "--d-max"))
+    classes = pf.enumerate_section_classes(constraints, _int_arg(args.d_max, "--d-max"))
     return {"count": len(classes), "classes": classes}
 
 
 def _cmd_kummer(args) -> dict:
-    from . import heights
-
-    inputs = heights.KummerInputs(_int_arg(args.h, "--h"), _fraction_arg(args.f1, "--f1"),
-                                  _fraction_arg(args.c_e, "--c-e"), _fraction_arg(args.alpha, "--alpha"))
+    inputs = pf.KummerInputs(_int_arg(args.h, "--h"), _fraction_arg(args.f1, "--f1"),
+                             _fraction_arg(args.c_e, "--c-e"), _fraction_arg(args.alpha, "--alpha"))
     if _kummer_unprintable(inputs):
         # refused before the torsion factor is formed, as `_dumps` refuses it after
         raise _DigitLimit(3, "the result")
-    return {"n0": heights.kummer_bound(inputs)}
+    return {"n0": pf.kummer_bound(inputs)}
 
 
-def _kummer_unprintable(inputs: heights.KummerInputs) -> bool:
-    # n0 = floor(h/f1) * floor(v ** (q/p)) with v = h/c_e > 2 ** k and alpha = p/q,
-    # so h >= f1 and k*q >= 14285*p give n0 >= 2 ** 14285 > 10 ** _MAX_INT_DIGITS
+def _kummer_unprintable(inputs: pf.KummerInputs) -> bool:
+    # n0 = floor(h/f1) * floor(v ** (q/p)) with v = h/c_e = 2**k * a/b, 1 <= a/b < 2,
+    # and alpha = p/q.  As log2(1 + x) >= x on [0, 1], log2(v) >= k + a/b - 1, so
+    # h >= f1 and (k - 1 + a/b) * q >= 14285 * p give n0 >= 2**14285 > 10**_MAX_INT_DIGITS
     v, alpha = inputs.h / inputs.c_e, inputs.alpha
-    k = v.numerator.bit_length() - v.denominator.bit_length() - 1
-    return inputs.h >= inputs.f1 and k * alpha.denominator >= 14285 * alpha.numerator
+    a, b = v.numerator, v.denominator
+    k = a.bit_length() - b.bit_length()
+    a, b = (a, b << k) if k >= 0 else (a << -k, b)
+    if a < b:
+        k, a = k - 1, a << 1
+    return inputs.h >= inputs.f1 and ((k - 1) * b + a) * alpha.denominator >= 14285 * alpha.numerator * b
 
 
 # The grammar of every call: command -> (its help, {action: (handler, flags)}),
@@ -362,8 +333,11 @@ def _default(keywords: dict):
     return keywords.get("default")
 
 
-def _help_parser():
-    """The argparse parser of `_GRAMMAR`; it only prints help pages."""
+def _help_parser(path=()):
+    """The argparse parser of `_GRAMMAR`, or of its command or leaf at `path`.
+
+    It only prints help pages.
+    """
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -372,16 +346,17 @@ def _help_parser():
     )
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {(): parser}
     for command, (help_text, actions) in _GRAMMAR.items():
-        p_command = sub.add_parser(command, help=help_text)
+        p_command = parsers[command,] = sub.add_parser(command, help=help_text)
         if None not in actions:
             action_sub = p_command.add_subparsers(dest="action", required=True)
         for action, (handler, flags) in actions.items():
-            p_leaf = p_command if action is None else action_sub.add_parser(action)
+            p_leaf = parsers[command, action] = p_command if action is None else action_sub.add_parser(action)
             for name, keywords in flags:
                 p_leaf.add_argument(name, **keywords)
             p_leaf.set_defaults(handler=handler)
-    return parser
+    return parsers[tuple(path)]
 
 
 def _read(argv: list[str]) -> SimpleNamespace:
@@ -403,11 +378,14 @@ def _read(argv: list[str]) -> SimpleNamespace:
         _emit_error(2, f"{where}: {message}", args.pretty)
         raise SystemExit(2)
 
+    def help_page() -> NoReturn:
+        _write(_help_parser(path).format_help(), end="")
+        raise SystemExit(0)
+
     def choose(choices, kind: str) -> str:
         for word in words:
             if word in _HELP:
-                # prints the help page and exits 0
-                _help_parser().parse_args([*path, "--help"])
+                help_page()
             if word == "--pretty" and not path:
                 args.pretty = True
             elif word in choices:
@@ -430,7 +408,7 @@ def _read(argv: list[str]) -> SimpleNamespace:
     given = set()
     for word in words:
         if word in _HELP:
-            _help_parser().parse_args([*path, "--help"])
+            help_page()
         name, equals, value = word.partition("=")
         if name not in table:
             refuse(f"unknown argument {word!r}; the flags are {', '.join(table)}, spelt in full")
@@ -473,8 +451,26 @@ def _dumps(payload: dict, pretty: bool) -> str:
         raise _DigitLimit(3, "the result") from exc
 
 
+def _write(text: str, end: str = "\n") -> None:
+    """Print `text` on stdout and flush it.
+
+    A stdout closed at its far end, as by `| head`, exits 1 and writes
+    nothing on standard error, as the "Note on SIGPIPE" in the `signal` docs
+    shows.
+    """
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        import os
+
+        # the interpreter flushes stdout again at exit: let that write
+        # nowhere.  An in-process stdout without an fd never gets here
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
+
+
 def _emit_error(code: int, message: str, pretty: bool) -> int:
-    print(_dumps({"ok": False, "error": {"kind": _KINDS[code], "message": message}}, pretty))
+    _write(_dumps({"ok": False, "error": {"kind": _KINDS[code], "message": message}}, pretty))
     return code
 
 
@@ -496,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, TypeError) as exc:
         # well-formed JSON of the wrong shape
         return _emit_error(2, f"malformed input: {exc!r}", pretty)
-    print(text)
+    _write(text)
     return 0
 
 

@@ -260,5 +260,7 @@ def kummer_bound(inputs: KummerInputs) -> int:
     """
     division_bound = Fraction(inputs.h) / inputs.f1
     m_max = division_bound.numerator // division_bound.denominator
-    torsion_max = _floor_root(Fraction(inputs.h) / inputs.c_e, inputs.alpha)
-    return m_max * torsion_max
+    if m_max == 0:
+        # the torsion factor, of any size, does not change the product
+        return 0
+    return m_max * _floor_root(Fraction(inputs.h) / inputs.c_e, inputs.alpha)

@@ -2,8 +2,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -735,13 +739,58 @@ def test_every_error_names_its_kind(capsys):
 def test_a_tiny_alpha_is_refused_at_once(capsys):
     # the torsion factor (10^20)^1000 has 20,001 digits; its root took
     # seconds of bisection before the result was refused.  (10^40)^1000000
-    # took 90 s to form before the pre-check refused it unformed
-    for h, alpha in [("1" + "0" * 20, "1/1000"), ("1" + "0" * 40, "1/1000000")]:
+    # took 90 s to form before the pre-check refused it unformed.  With
+    # 1 < h/c_e < 4 the pre-check never refused: (3/2)^10000000 took 92 s
+    # and 3^30000000 12.7 s
+    for h, c_e, alpha in [("1" + "0" * 20, "1", "1/1000"), ("1" + "0" * 40, "1", "1/1000000"),
+                          ("3", "2", "1/10000000"), ("3", "1", "1/30000000")]:
         start = time.process_time()
-        code, payload = run(capsys, "kummer", "bound", "--h", h, "--f1", "1", "--c-e", "1", "--alpha", alpha)
+        code, payload = run(capsys, "kummer", "bound", "--h", h, "--f1", "1", "--c-e", c_e, "--alpha", alpha)
         assert code == 3 and payload == {"ok": False, "error": {"kind": "domain", "message": (
             "kummer bound: the result holds an integer of more than 4300 digits, the most pencilforge reads or prints")}}
         assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["class", "--class", "{}"], "expected a JSON array of 10 integers, got {}"),
+    (["pencil", "construct", "--model", "plane", "--orbits", "[1,2]"],
+     'orbits must be JSON like {"orbit_sizes": [...], "rational_orbit_index": 0}'),
+    (["basechange", "classify", "--config", "3", "--branch", "v0,v1"],
+     "config must be a {type: count} object or a [{place, type}] list"),
+    (["basechange", "classify", "--config", '{"I0*": 1, "I1": 6}', "--branch", "v0"],
+     "--branch takes two comma-separated place ids, got 'v0'"),
+    (["height", "pair", "--data", "[1]"], "height data must be a JSON object"),
+    (["height", "pair", "--data", PAIR_DATA, "--fibres", "{}"], "--fibres must be a JSON list of fibre symbols"),
+    (["sections", "enumerate", "--constraints", "{}"], "--constraints must be a JSON list of [class, value] pairs"),
+], ids=["class", "orbits", "config", "branch", "data", "fibres", "constraints"])
+def test_json_of_the_wrong_shape_names_the_shape_it_needs(capsys, argv, message):
+    code, payload = run(capsys, *argv)
+    assert code == 2 and payload == {"ok": False, "error": {"kind": "input", "message": message}}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["class", "--class", CLASS],
+    ["kummer", "bound", "--h", "2", "--f1", "1", "--c-e", "1", "--alpha", "0"],
+    ["no-such-command"],
+    ["pencil", "search", "--help"],
+], ids=["result", "error", "usage-error", "help"])
+def test_a_closed_stdout_exits_one_with_nothing_on_stderr(argv, unbuffered):
+    # the read end of the pipe is closed before the call, so every write
+    # fails: that was a BrokenPipeError traceback with exit 1 (unbuffered),
+    # or "Exception ignored ... BrokenPipeError" at shutdown with exit 120
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-S", "-m", "pencilforge.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 FRACTIONS = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))

@@ -324,6 +324,14 @@ def test_kummer_bound_large_torsion_factor():
     assert kummer_bound(KummerInputs(100, 1, 1, Fraction(1, 4))) == 10 ** 10
 
 
+def test_kummer_bound_without_a_division_index_is_zero_at_once():
+    # floor(3/4) = 0: the torsion factor (3/2)^(10^9) was formed all the same,
+    # in time growing with 1/alpha (8.5 s at alpha = 1/3000000)
+    start = time.process_time()
+    assert kummer_bound(KummerInputs(3, 4, 2, Fraction(1, 10 ** 9))) == 0
+    assert time.process_time() - start < 0.5
+
+
 def linear_scan_torsion_max(h, c_e, alpha):
     # independent oracle: count t up while c_e * (t + 1)^alpha <= h, raised
     # to the power q of alpha = p/q and cleared of denominators

@@ -169,6 +169,32 @@ def test_no_request_loads_dataclasses_or_inspect():
     assert stdlib == "False False"
 
 
+# the pencilforge submodules each of LEAF_REQUESTS loads, in its order
+LEAF_MODULES = [
+    ["cli", "picard_lattice"],
+    ["cli", "cremona", "picard_lattice"],
+    *[["cli", "pencils", "picard_lattice"]] * 3,
+    *[["base_change", "cli", "picard_lattice"]] * 2,
+    *[["base_change", "cli", "heights", "picard_lattice"]] * 4,
+]
+
+
+@pytest.mark.parametrize("argv,modules", zip(LEAF_REQUESTS, LEAF_MODULES),
+                         ids=[" ".join(word for word in argv[:2] if word[0] != "-") for argv in LEAF_REQUESTS])
+def test_each_leaf_loads_only_the_submodules_it_needs(argv, modules):
+    # the CLI names the library as `pf.<export>`: the package hook loads the
+    # submodule that `_EXPORTS` names, and nothing more
+    code = (
+        "import sys\n"
+        "from pencilforge import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pencilforge.')))\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([f"pencilforge.{m}" for m in modules])
+
+
 def test_the_benchmark_warm_up_loads_neither():
     symbols = ["I2", "I3", "I9", "III", "IV", "I0*", "I1*", "I4*", "IV*", "III*", "II*"]
     code = (
