@@ -38,7 +38,6 @@ _EXPORTS = {
     "contribution": "heights",
     "enumerate_section_classes": "heights",
     "height_pairing": "heights",
-    "invert_exact": "heights",
     "kummer_bound": "heights",
     "multiplication_pullback_degree": "heights",
     "OrbitStructure": "pencils",
@@ -46,9 +45,6 @@ _EXPORTS = {
     "PencilSpec": "pencils",
     "Unsupported": "pencils",
     "construct_pencils": "pencils",
-    "degree_to_base_spec": "pencils",
-    "dim_lower_bound": "pencils",
-    "genus_upper_bound": "pencils",
     "reduce_orbit_config": "pencils",
     "search_pencils": "pencils",
     "to_numerical_class": "pencils",

@@ -75,11 +75,6 @@ class KodairaFibre:
     def __reduce__(self):
         return KodairaFibre, (self.symbol,)
 
-    @property
-    def reduced(self) -> bool:
-        """False exactly for starred (multiple-component) types."""
-        return not self.starred
-
     def __str__(self) -> str:
         return self.symbol
 
@@ -109,9 +104,6 @@ def _interned(raw: str) -> KodairaFibre:
     if symbol != raw:
         return _interned(symbol)
     return KodairaFibre._of(symbol, index, symbol.endswith("*"), euler, components)
-
-
-SMOOTH = KodairaFibre("I0")
 
 
 def _place_id(place: object) -> str:
@@ -150,12 +142,6 @@ class FibreConfiguration:
                 places.append((f"v{i}", KodairaFibre(symbol)))
                 i += 1
         return cls(tuple(places))
-
-    def fibre_at(self, place: str) -> KodairaFibre:
-        for p, fibre in self.places:
-            if p == place:
-                return fibre
-        return SMOOTH
 
 
 @record

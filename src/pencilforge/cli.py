@@ -239,15 +239,19 @@ def _cmd_kummer(args) -> dict:
 
 def _kummer_unprintable(inputs: pf.KummerInputs) -> bool:
     # n0 = floor(h/f1) * floor(v ** (q/p)) with v = h/c_e = 2**k * a/b, 1 <= a/b < 2,
-    # and alpha = p/q.  As log2(1 + x) >= x on [0, 1], log2(v) >= k + a/b - 1, so
-    # h >= f1 and (k - 1 + a/b) * q >= 14285 * p give n0 >= 2**14285 > 10**_MAX_INT_DIGITS
+    # and alpha = p/q.  log2(v) >= k + a/b - 1, as log2(1 + x) >= x on [0, 1], and
+    # log2(v) >= k + 7213(a - b) / (2500(a + b)), as ln(1 + x) >= 2x/(2 + x) and
+    # 2/ln 2 > 7213/2500; the second is tighter below a/b = 1.885.  When h >= f1
+    # and either bound times q/p reaches 14285, n0 >= 2**14285 > 10**_MAX_INT_DIGITS
     v, alpha = inputs.h / inputs.c_e, inputs.alpha
     a, b = v.numerator, v.denominator
     k = a.bit_length() - b.bit_length()
     a, b = (a, b << k) if k >= 0 else (a << -k, b)
     if a < b:
         k, a = k - 1, a << 1
-    return inputs.h >= inputs.f1 and ((k - 1) * b + a) * alpha.denominator >= 14285 * alpha.numerator * b
+    p, q = alpha.numerator, alpha.denominator
+    return inputs.h >= inputs.f1 and (((k - 1) * b + a) * q >= 14285 * p * b
+                                      or (2500 * k * (a + b) + 7213 * (a - b)) * q >= 35712500 * p * (a + b))
 
 
 # The grammar of every call: command -> (its help, {action: (handler, flags)}),

@@ -38,33 +38,23 @@ from .base_change import KodairaFibre
 from .picard_lattice import NumericalClass, intersect, record, strict_fields, strict_int, weighted_vectors
 
 
-def invert_exact(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square matrix by Gauss-Jordan elimination over the rationals."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 @lru_cache(maxsize=3)
 def _e_inverse(rank: int) -> tuple[tuple[Fraction, ...], ...]:
     # E6, E7 and E8 only: A_r and D_r have closed forms (see _correction).
-    # The Cartan matrix on the Bourbaki edges 1-3, 2-4 and the chain 3-4-...-rank
-    cartan = [[2 if a == b else 0 for b in range(rank)] for a in range(rank)]
+    # Gauss-Jordan elimination of the Cartan matrix on the Bourbaki edges
+    # 1-3, 2-4 and the chain 3-4-...-rank, beside the identity; the matrix is
+    # positive definite, so every pivot in turn is nonzero
+    aug = [[2 * (a == b) for b in range(rank)] + [int(a == b) for b in range(rank)] for a in range(rank)]
     for a, b in [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, rank)]:
-        cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -1
-    return invert_exact(cartan)
+        aug[a - 1][b - 1] = aug[b - 1][a - 1] = -1
+    for col in range(rank):
+        pivot = Fraction(aug[col][col])
+        aug[col] = [x / pivot for x in aug[col]]
+        for r in range(rank):
+            factor = aug[r][col]
+            if r != col and factor:
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[rank:]) for row in aug)
 
 
 def _correction(fibre: KodairaFibre | str, i: int, j: int) -> tuple[int, int]:

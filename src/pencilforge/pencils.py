@@ -25,7 +25,6 @@ from .picard_lattice import (
     degree_to_base,
     intersect,
     record,
-    riemann_roch,
     strict_fields,
     strict_int,
     strict_ints,
@@ -155,38 +154,18 @@ class DegreeSixReduction:
     blow_up_orbit: int
 
 
-def dim_lower_bound(spec: PencilSpec) -> int:
-    """Lower bound for the linear-system dimension (as a space of sections).
-
-    Riemann-Roch on the spec's lattice class, less its extra conditions.  A
-    value of at least 2 guarantees a pencil.  May be negative; the sign is
-    the decision criterion, so no clamping.
-    """
-    return riemann_roch(to_numerical_class(spec)) - spec.extra_conditions
-
-
-def genus_upper_bound(spec: PencilSpec) -> int:
-    """Upper bound for the genus of a member of the system: the arithmetic
-    genus of the spec's lattice class."""
-    return arithmetic_genus(to_numerical_class(spec))
-
-
-def degree_to_base_spec(spec: PencilSpec) -> int:
-    """Degree of the map to the base induced on a member of the system.
-
-    Each extra condition is a tangency to the fibres at a base point and
-    absorbs one intersection, hence the final subtraction.
-    """
-    return degree_to_base(to_numerical_class(spec)) - spec.extra_conditions
-
-
 def verify(spec: PencilSpec) -> PencilReport:
     """Evaluate the pencil criteria for a spec.
 
-    Besides the three bounds, a spec with no extra conditions must not have
-    c - F even: then E = (c - F)/2 is a section with c.E = -1, fixed in every
-    member, which is F + 2E.  The test is numerical, like `is_connected_class`.
-    Tangencies make c.F = 2 + extra, so their bounds alone decide.
+    The bounds are read off the spec's lattice class c: the genus bound is
+    its arithmetic genus, the base degree is c.F, and the dimension bound (of
+    the system as a space of sections, possibly negative) is Riemann-Roch,
+    (c.c + c.F)/2 + 1; each extra condition, a tangency to the fibres at a
+    base point, lowers the last two by one.  Besides the bounds, a spec with
+    no extra conditions must not have c - F even: then E = (c - F)/2 is a
+    section with c.E = -1, fixed in every member, which is F + 2E.  The test
+    is numerical, like `is_connected_class`.  Tangencies make c.F = 2 +
+    extra, so their bounds alone decide.
     """
     cls = to_numerical_class(spec)
     genus = arithmetic_genus(cls)
@@ -353,8 +332,8 @@ def search_pencils(model: str, orbits: OrbitStructure, n_max: int) -> list[Penci
 
     Multiplicities range over 0..n_max+1, constant on each Galois orbit
     (invariance of the system forces that), with no extra conditions.  A
-    spec is kept when dim_lower_bound >= 2, genus_upper_bound <= 0 and
-    degree_to_base_spec == 2, unless c - F is even (see `verify`).  With
+    spec is kept when its `verify` report has dim_lower_bound >= 2,
+    genus_upper_bound <= 0 and degree_to_base == 2, unless c - F is even.  With
     c.F = 2 the dimension bound exceeds the genus bound by exactly 2, so
     these are the classes c with c.c = 0 and c.F = 2.  Sorted by (level, mults).
 

@@ -284,12 +284,6 @@ def arithmetic_genus(a: NumericalClass) -> int:
     return total // 2 + 1
 
 
-def riemann_roch(a: NumericalClass) -> int:
-    """Riemann-Roch estimate (a.a - a.K)/2 + 1 of the sections of a class;
-    it exceeds the arithmetic genus by exactly a.F."""
-    return (intersect(a, a) + degree_to_base(a)) // 2 + 1
-
-
 def weighted_vectors(weights: Sequence[int], square_sum: int, linear_sum: int,
                      lo: int, hi: int) -> list[tuple[int, ...]]:
     """The list of integer vectors x with lo <= x_i <= hi,

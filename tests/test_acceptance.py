@@ -29,7 +29,7 @@ from pencilforge.heights import (
     height_pairing,
     multiplication_pullback_degree,
 )
-from pencilforge.pencils import PencilSpec, degree_to_base_spec, dim_lower_bound, genus_upper_bound
+from pencilforge.pencils import PencilSpec, verify
 from pencilforge.picard_lattice import (
     NumericalClass,
     arithmetic_genus,
@@ -78,33 +78,33 @@ def test_criterion_2_printed_arithmetic():
     assert degree_to_base(line_through_point) == 2            # 3.1 - 1 = 2
 
     cubics = PencilSpec("plane", 3, (2, 1, 1, 1, 1, 1))
-    assert degree_to_base_spec(cubics) == 2                   # 9 - 5 - 2 = 2
+    assert verify(cubics).degree_to_base == 2                 # 9 - 5 - 2 = 2
 
     quintics = PencilSpec("plane", 5, (1, 2, 2, 2, 2, 2, 2))
-    assert dim_lower_bound(quintics) == 2                     # dim 21, 19 conditions
-    assert degree_to_base_spec(quintics) == 2                 # 5.3 - 6.2 - 1 = 2
+    assert verify(quintics).dim_lower_bound == 2              # dim 21, 19 conditions
+    assert verify(quintics).degree_to_base == 2               # 5.3 - 6.2 - 1 = 2
 
     quartics = PencilSpec("plane", 4, (3, 1, 1, 1, 1, 1, 1, 1))
-    assert degree_to_base_spec(quartics) == 2                 # 4.3 - 7 - 3 = 2
+    assert verify(quartics).degree_to_base == 2               # 4.3 - 7 - 3 = 2
 
     seventeen = PencilSpec("plane", 17, (1, 6, 6, 6, 6, 6, 6, 6, 6))
-    assert dim_lower_bound(seventeen) == 2                    # 171 - 169 = 2
+    assert verify(seventeen).dim_lower_bound == 2             # 171 - 169 = 2
 
     eight_low = PencilSpec("dp8", 8, (13, 7, 7, 7, 7, 7, 7, 7))
     eight_high = PencilSpec("dp8", 22, (13, 23, 23, 23, 23, 23, 23, 23))
-    assert genus_upper_bound(eight_low) == 0
-    assert genus_upper_bound(eight_high) == 0
-    assert degree_to_base_spec(eight_low) == 2                # 64 - 13 - 49 = 2
-    assert degree_to_base_spec(eight_high) == 2               # 22.8 - 13 - 7.23 = 2
+    assert verify(eight_low).genus_upper_bound == 0
+    assert verify(eight_high).genus_upper_bound == 0
+    assert verify(eight_low).degree_to_base == 2              # 64 - 13 - 49 = 2
+    assert verify(eight_high).degree_to_base == 2             # 22.8 - 13 - 7.23 = 2
 
     five_low = PencilSpec("dp5", 2, (4, 1, 1, 1, 1))
     five_high = PencilSpec("dp5", 10, (4, 11, 11, 11, 11))
-    assert dim_lower_bound(five_low) == 2                     # 16 - 10 - 4 = 2
-    assert genus_upper_bound(five_low) == 0                   # 6 - 6 = 0
-    assert degree_to_base_spec(five_low) == 2                 # 10 - 4 - 4 = 2
+    assert verify(five_low).dim_lower_bound == 2              # 16 - 10 - 4 = 2
+    assert verify(five_low).genus_upper_bound == 0            # 6 - 6 = 0
+    assert verify(five_low).degree_to_base == 2               # 10 - 4 - 4 = 2
     assert intersect(NumericalClass(6, (2, 2, 2, 2, 4, 1, 1, 1, 1)),
                      NumericalClass(3, (1,) * 9)) == 2        # same value on the lattice
-    assert dim_lower_bound(five_high) == 2                    # 5(110)/2 + 1 - 10 - 4(66) = 2
+    assert verify(five_high).dim_lower_bound == 2             # 5(110)/2 + 1 - 10 - 4(66) = 2
 
     announce(2, "all printed pencil computations reproduced")
 

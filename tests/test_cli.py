@@ -741,9 +741,10 @@ def test_a_tiny_alpha_is_refused_at_once(capsys):
     # seconds of bisection before the result was refused.  (10^40)^1000000
     # took 90 s to form before the pre-check refused it unformed.  With
     # 1 < h/c_e < 4 the pre-check never refused: (3/2)^10000000 took 92 s
-    # and 3^30000000 12.7 s
+    # and 3^30000000 12.7 s.  Near h/c_e = 1 it was 1.44 times too weak:
+    # (1001/1000)^12000000 ran for more than 100 s
     for h, c_e, alpha in [("1" + "0" * 20, "1", "1/1000"), ("1" + "0" * 40, "1", "1/1000000"),
-                          ("3", "2", "1/10000000"), ("3", "1", "1/30000000")]:
+                          ("3", "2", "1/10000000"), ("3", "1", "1/30000000"), ("1001", "1000", "1/12000000")]:
         start = time.process_time()
         code, payload = run(capsys, "kummer", "bound", "--h", h, "--f1", "1", "--c-e", c_e, "--alpha", alpha)
         assert code == 3 and payload == {"ok": False, "error": {"kind": "domain", "message": (
@@ -791,6 +792,21 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(argv, unbuffered):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_the_kummer_pre_check_is_tight_near_one():
+    # n0 = 1001 * floor((1001/1000)^q) has 4,300 digits at q = 9899000 and
+    # prints.  At q = 9900000 the power alone has 4,298 digits, under the
+    # 2^14285 the pre-check asks of it, so it is let through; at q = 9950000
+    # the power has 4,320 and is refused.  The pre-check alone decides,
+    # without forming any of them
+    from pencilforge import heights
+
+    def unprintable(q):
+        return cli._kummer_unprintable(heights.KummerInputs(1001, 1, 1000, Fraction(1, q)))
+
+    assert not unprintable(9899000) and not unprintable(9900000)
+    assert unprintable(9950000)
 
 
 FRACTIONS = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))

@@ -16,9 +16,8 @@ PUBLIC_API = [
     "PencilSpec", "ReductionCertificate", "SectionIntersections",
     "SurfaceClass", "Unsupported", "arithmetic_genus", "base_changed_configuration",
     "classify_quadratic_base_change", "construct_pencils", "contribution",
-    "degree_to_base", "degree_to_base_spec", "dim_lower_bound", "enumerate_section_classes",
-    "euler_total", "exceptional", "fibre_product_genus", "genus_upper_bound", "height_pairing",
-    "intersect", "invert_exact", "is_connected_class", "kummer_bound",
+    "degree_to_base", "enumerate_section_classes", "euler_total", "exceptional",
+    "fibre_product_genus", "height_pairing", "intersect", "is_connected_class", "kummer_bound",
     "multiplication_pullback_degree", "mw_rank_bound", "quadratic_transform",
     "reduce_orbit_config", "reduce_to_line", "search_pencils", "to_numerical_class",
     "transform_fibre", "unirationality_check", "verify",
@@ -33,7 +32,7 @@ def run_fresh(code):
 
 
 def test_public_api_is_unchanged():
-    assert len(PUBLIC_API) == 45
+    assert len(PUBLIC_API) == 41
     assert pencilforge.__all__ == PUBLIC_API
 
 

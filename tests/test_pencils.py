@@ -17,9 +17,6 @@ from pencilforge.pencils import (
     PencilSpec,
     Unsupported,
     construct_pencils,
-    degree_to_base_spec,
-    dim_lower_bound,
-    genus_upper_bound,
     reduce_orbit_config,
     search_pencils,
     to_numerical_class,
@@ -42,47 +39,45 @@ def spec(model, level, mults, extra=0):
 # the printed dimension / genus / degree computations
 
 def test_dim_lower_bound_examples():
-    assert dim_lower_bound(spec("dp5", 2, (4, 1, 1, 1, 1))) == 2
-    assert dim_lower_bound(spec("plane", 17, (1,) + (6,) * 8)) == 2
-    assert dim_lower_bound(spec("dp5", 10, (4, 11, 11, 11, 11))) == 2
-    assert dim_lower_bound(spec("plane", 5, (1,) + (2,) * 6)) == 2  # 21 - 19
-    assert dim_lower_bound(spec("plane", 1, (1,))) == 2
-    assert dim_lower_bound(spec("dp8", 8, (13,) + (7,) * 7)) == 2
-    assert dim_lower_bound(spec("dp8", 22, (13,) + (23,) * 7)) == 2
-    assert dim_lower_bound(spec("dp4", 1, (2, 0, 0, 0))) == 2
-    assert dim_lower_bound(spec("dp4", 7, (2, 8, 8, 8))) == 2
+    assert verify(spec("dp5", 2, (4, 1, 1, 1, 1))).dim_lower_bound == 2
+    assert verify(spec("plane", 17, (1,) + (6,) * 8)).dim_lower_bound == 2
+    assert verify(spec("dp5", 10, (4, 11, 11, 11, 11))).dim_lower_bound == 2
+    assert verify(spec("plane", 5, (1,) + (2,) * 6)).dim_lower_bound == 2  # 21 - 19
+    assert verify(spec("plane", 1, (1,))).dim_lower_bound == 2
+    assert verify(spec("dp8", 8, (13,) + (7,) * 7)).dim_lower_bound == 2
+    assert verify(spec("dp8", 22, (13,) + (23,) * 7)).dim_lower_bound == 2
+    assert verify(spec("dp4", 1, (2, 0, 0, 0))).dim_lower_bound == 2
+    assert verify(spec("dp4", 7, (2, 8, 8, 8))).dim_lower_bound == 2
 
 
 def test_dim_lower_bound_can_be_negative():
-    assert dim_lower_bound(spec("plane", 1, (3,))) == 3 - 6
+    assert verify(spec("plane", 1, (3,))).dim_lower_bound == 3 - 6
 
 
 def test_genus_upper_bound_examples():
-    assert genus_upper_bound(spec("dp8", 8, (13,) + (7,) * 7)) == 0
-    assert genus_upper_bound(spec("dp8", 22, (13,) + (23,) * 7)) == 0
-    assert genus_upper_bound(spec("dp4", 7, (2, 8, 8, 8))) == 0
-    assert genus_upper_bound(spec("dp5", 2, (4, 1, 1, 1, 1))) == 0  # 6 - 6
-    assert genus_upper_bound(spec("plane", 5, (1,) + (2,) * 6)) == 0
-    assert genus_upper_bound(spec("plane", 3, (2, 1, 1, 1, 1, 1))) == 0
+    assert verify(spec("dp8", 8, (13,) + (7,) * 7)).genus_upper_bound == 0
+    assert verify(spec("dp8", 22, (13,) + (23,) * 7)).genus_upper_bound == 0
+    assert verify(spec("dp4", 7, (2, 8, 8, 8))).genus_upper_bound == 0
+    assert verify(spec("dp5", 2, (4, 1, 1, 1, 1))).genus_upper_bound == 0  # 6 - 6
+    assert verify(spec("plane", 5, (1,) + (2,) * 6)).genus_upper_bound == 0
+    assert verify(spec("plane", 3, (2, 1, 1, 1, 1, 1))).genus_upper_bound == 0
 
 
 def test_degree_to_base_spec_examples():
-    assert degree_to_base_spec(spec("dp8", 8, (13,) + (7,) * 7)) == 2
-    assert degree_to_base_spec(spec("dp8", 22, (13,) + (23,) * 7)) == 2
-    assert degree_to_base_spec(spec("plane", 4, (3,) + (1,) * 7)) == 2
-    assert degree_to_base_spec(spec("plane", 3, (2, 1, 1, 1, 1, 1))) == 2  # 9 - 5 - 2
-    assert degree_to_base_spec(spec("plane", 5, (1,) + (2,) * 6)) == 2  # 15 - 12 - 1
-    assert degree_to_base_spec(spec("dp5", 2, (4, 1, 1, 1, 1))) == 2  # 10 - 4 - 4
-    assert degree_to_base_spec(spec("plane", 1, (1,))) == 2  # 3 - 1
+    assert verify(spec("dp8", 8, (13,) + (7,) * 7)).degree_to_base == 2
+    assert verify(spec("dp8", 22, (13,) + (23,) * 7)).degree_to_base == 2
+    assert verify(spec("plane", 4, (3,) + (1,) * 7)).degree_to_base == 2
+    assert verify(spec("plane", 3, (2, 1, 1, 1, 1, 1))).degree_to_base == 2  # 9 - 5 - 2
+    assert verify(spec("plane", 5, (1,) + (2,) * 6)).degree_to_base == 2  # 15 - 12 - 1
+    assert verify(spec("dp5", 2, (4, 1, 1, 1, 1))).degree_to_base == 2  # 10 - 4 - 4
+    assert verify(spec("plane", 1, (1,))).degree_to_base == 2  # 3 - 1
 
 
 def test_tangency_conditions_absorb_base_intersections():
-    tangent_pair = spec("plane", 2, (0, 1, 1), extra=2)
-    assert degree_to_base_spec(tangent_pair) == 2
-    assert dim_lower_bound(tangent_pair) == 2
-    tangent_one = spec("plane", 2, (1, 1, 1), extra=1)
-    assert degree_to_base_spec(tangent_one) == 2
-    assert dim_lower_bound(tangent_one) == 2
+    tangent_pair = verify(spec("plane", 2, (0, 1, 1), extra=2))
+    assert (tangent_pair.degree_to_base, tangent_pair.dim_lower_bound) == (2, 2)
+    tangent_one = verify(spec("plane", 2, (1, 1, 1), extra=1))
+    assert (tangent_one.degree_to_base, tangent_one.dim_lower_bound) == (2, 2)
 
 
 def test_verify_report():
@@ -302,8 +297,8 @@ def test_lattice_agrees_with_flat_specs():
             if member.extra_conditions:
                 continue
             cls = to_numerical_class(member)
-            assert arithmetic_genus(cls) == genus_upper_bound(member)
-            assert degree_to_base(cls) == degree_to_base_spec(member)
+            report = verify(member)
+            assert (arithmetic_genus(cls), degree_to_base(cls)) == (report.genus_upper_bound, report.degree_to_base)
 
 
 def test_del_pezzo_flat_class_matches_worked_example():
@@ -448,11 +443,10 @@ def specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(specs())
 def test_bounds_are_the_closed_forms(s):
-    bounds = (dim_lower_bound(s), genus_upper_bound(s), degree_to_base_spec(s))
-    assert bounds == closed_form_bounds(s.model, s.level, s.mults, s.extra_conditions)
-    assert dim_lower_bound(s) - genus_upper_bound(s) == degree_to_base_spec(s)
     report = verify(s)
-    assert (report.dim_lower_bound, report.genus_upper_bound, report.degree_to_base) == bounds
+    bounds = (report.dim_lower_bound, report.genus_upper_bound, report.degree_to_base)
+    assert bounds == closed_form_bounds(s.model, s.level, s.mults, s.extra_conditions)
+    assert report.dim_lower_bound - report.genus_upper_bound == report.degree_to_base
 
 
 def test_verify_rejects_a_non_integer_level():

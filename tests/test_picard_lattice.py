@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilforge.heights import multiplication_pullback_degree
+from pencilforge.pencils import PencilSpec, verify
 from pencilforge.picard_lattice import (
     CANONICAL,
     FIBRE,
@@ -18,7 +19,6 @@ from pencilforge.picard_lattice import (
     exceptional,
     intersect,
     mw_rank_bound,
-    riemann_roch,
     strict_int,
     unirationality_check,
     weighted_vectors,
@@ -148,18 +148,25 @@ def test_unirationality_threshold():
             unirationality_check(bad)
 
 
+def riemann_roch(d, m):
+    # (c.c + c.F)/2 + 1, written out for the plane class c = (d; m)
+    return (d * d - sum(x * x for x in m) + 3 * d - sum(m)) // 2 + 1
+
+
 def test_riemann_roch_exceeds_genus_by_fibre_degree():
     rng = random.Random(11)
     for _ in range(500):
-        a = random_class(rng)
-        assert riemann_roch(a) - arithmetic_genus(a) == degree_to_base(a)
+        d, m = rng.randint(1, 9), tuple(rng.randint(0, 9) for _ in range(9))
+        report = verify(PencilSpec("plane", d, m))
+        assert report.dim_lower_bound == riemann_roch(d, m)
+        assert report.dim_lower_bound - report.genus_upper_bound == report.degree_to_base
 
 
 def test_riemann_roch_counts_plane_curves():
     # cubics through eight points: a pencil
-    assert riemann_roch(NumericalClass(3, (1,) * 8 + (0,))) == 2
+    assert verify(PencilSpec("plane", 3, (1,) * 8)).dim_lower_bound == riemann_roch(3, (1,) * 8) == 2
     # conics through a double point: 6 - 3
-    assert riemann_roch(NumericalClass(2, (2,) + (0,) * 8)) == 3
+    assert verify(PencilSpec("plane", 2, (2,))).dim_lower_bound == riemann_roch(2, (2,)) == 3
 
 
 @pytest.mark.parametrize("weights, lo, hi", [
