@@ -238,20 +238,24 @@ def _cmd_kummer(args) -> dict:
 
 
 def _kummer_unprintable(inputs: pf.KummerInputs) -> bool:
-    # n0 = floor(h/f1) * floor(v ** (q/p)) with v = h/c_e = 2**k * a/b, 1 <= a/b < 2,
-    # and alpha = p/q.  log2(v) >= k + a/b - 1, as log2(1 + x) >= x on [0, 1], and
-    # log2(v) >= k + 7213(a - b) / (2500(a + b)), as ln(1 + x) >= 2x/(2 + x) and
-    # 2/ln 2 > 7213/2500; the second is tighter below a/b = 1.885.  When h >= f1
-    # and either bound times q/p reaches 14285, n0 >= 2**14285 > 10**_MAX_INT_DIGITS
-    v, alpha = inputs.h / inputs.c_e, inputs.alpha
+    # n0 = m * floor(v ** (q/p)) with m = floor(h/f1), v = h/c_e = 2**k * a/b, 1 <= a/b < 2,
+    # and alpha = p/q; n0 is 0 when m or v is below 1.  log2(v) >= k + a/b - 1, as
+    # log2(1 + x) >= x on [0, 1], and log2(v) >= k + 7213(a - b) / (2500(a + b)), as
+    # ln(1 + x) >= 2x/(2 + x) and 2/ln 2 > 7213/2500; the second is tighter below
+    # a/b = 1.885.  When either bound times q/p reaches t = 14285 - (m.bit_length() - 1),
+    # n0 >= 2**(m.bit_length() - 1) * 2**t = 2**14285 > 10**_MAX_INT_DIGITS
+    m = inputs.h // inputs.f1
+    if m < 1 or inputs.h < inputs.c_e:
+        return False
+    v, alpha, t = inputs.h / inputs.c_e, inputs.alpha, 14285 - (m.bit_length() - 1)
     a, b = v.numerator, v.denominator
     k = a.bit_length() - b.bit_length()
     a, b = (a, b << k) if k >= 0 else (a << -k, b)
     if a < b:
         k, a = k - 1, a << 1
     p, q = alpha.numerator, alpha.denominator
-    return inputs.h >= inputs.f1 and (((k - 1) * b + a) * q >= 14285 * p * b
-                                      or (2500 * k * (a + b) + 7213 * (a - b)) * q >= 35712500 * p * (a + b))
+    return (((k - 1) * b + a) * q >= t * p * b
+            or (2500 * k * (a + b) + 7213 * (a - b)) * q >= 2500 * t * p * (a + b))
 
 
 # The grammar of every call: command -> (its help, {action: (handler, flags)}),

@@ -99,12 +99,6 @@ class _Record:
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __replace__(self, /, **changes):
-        # `copy.replace` of a record (Python 3.13)
-        from dataclasses import replace
-
-        return replace(self, **changes)
-
 
 def _shown(obj: _Record) -> tuple:
     return tuple([getattr(obj, name) for name in obj.__match_args__])
@@ -113,12 +107,13 @@ def _shown(obj: _Record) -> tuple:
 def record(cls: type) -> type:
     """The frozen, slotted record class that `cls`'s annotations describe.
 
-    It behaves as `@dataclass(frozen=True, slots=True)` makes a class,
-    without importing `dataclasses`: the fields are its `__slots__`, so no
-    `__dict__` and no weak references, with class-body values as defaults,
-    and its `__match_args__`.  Its one base, `_Record`, holds the methods
-    that do not depend on the fields; `record` compiles the two that do,
-    unless the class defines its own:
+    It compares, hashes, prints, pickles, copies and refuses assignment as
+    `@dataclass(frozen=True, slots=True)` makes a class, without importing
+    `dataclasses`, whose helpers do not accept it: the fields are its
+    `__slots__`, so no `__dict__` and no weak references, with class-body
+    values as defaults, and its `__match_args__`.  Its one base, `_Record`,
+    holds the methods that do not depend on the fields; `record` compiles
+    the two that do, unless the class defines its own:
 
     * an `__init__` taking the fields in order, positional or keyword, that
       calls `__post_init__` when the class has one;
@@ -128,9 +123,6 @@ def record(cls: type) -> type:
       `__init__` nor `__post_init__`.
 
     A `DERIVED` field is in the slots and in the pickled state only.
-    `__dataclass_fields__` is read on first use from a
-    `dataclasses.make_dataclass` twin, so `dataclasses.fields`, `replace`,
-    `asdict` and `is_dataclass` work and load `dataclasses` only then.
     """
     annotations = cls.__annotations__
     body = {name: value for name, value in vars(cls).items() if name not in ("__dict__", "__weakref__")}
@@ -138,12 +130,6 @@ def record(cls: type) -> type:
     shown = [name for name in annotations if defaults.get(name) is not DERIVED]
     body["__slots__"] = tuple(annotations)
     body.setdefault("__match_args__", tuple(shown))
-    # the keywords of each field's `dataclasses.field`
-    options = {name: {"init": False, "repr": False, "compare": False} if value is DERIVED else {"default": value}
-               for name, value in defaults.items()}
-    spec = [(name, annotations[name], options.get(name, {})) for name in annotations]
-    body["__dataclass_fields__"] = _DataclassAttribute(spec)
-    body["__dataclass_params__"] = _DataclassAttribute(spec)
     new = type(cls)(cls.__name__, (_Record,), body)
 
     # `__init__` and `_of` store each field through its slot's own setter
@@ -167,27 +153,6 @@ def record(cls: type) -> type:
         method.__qualname__ = f"{new.__qualname__}.{name}"
         setattr(new, name, classmethod(method) if name == "_of" else method)
     return new
-
-
-class _DataclassAttribute:
-    # `__dataclass_fields__` or `__dataclass_params__` of a record (pprint
-    # reads the second of whatever `is_dataclass` accepts): on first read,
-    # both are taken from a `make_dataclass` twin with the same fields and
-    # stored on the class in place of their descriptors
-    def __init__(self, spec: list[tuple[str, str, dict]]) -> None:
-        self.spec = spec
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: object, owner: type):
-        from dataclasses import field, make_dataclass
-
-        twin = make_dataclass(owner.__name__, [(name, annotation, field(**options))
-                                               for name, annotation, options in self.spec], frozen=True)
-        owner.__dataclass_fields__ = twin.__dataclass_fields__
-        owner.__dataclass_params__ = twin.__dataclass_params__
-        return getattr(twin, self.name)
 
 
 @record

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -271,18 +270,27 @@ def test_outputs_reparse_into_their_types(capsys):
         NumericalClass.from_list(coords)
 
 
-# What each command writes, rendered from field reads and `dataclasses.asdict`
-# alone: a record is the object of its fields in declaration order and a class
-# is [d, m1..m9].  Text and key order are compared, so --pretty is checked too.
+# What each command writes, rendered from field reads by name alone: a record
+# is the object of its fields in declaration order, each written out here, and
+# a class is [d, m1..m9].  Text and key order are compared, so --pretty is
+# checked too.
 def _written_class(cls):
     return [cls.d, *cls.m]
+
+
+def _written_spec_fields(spec):
+    return {"model": spec.model, "level": spec.level, "mults": list(spec.mults),
+            "extra_conditions": spec.extra_conditions}
 
 
 def _written_spec(spec):
     from pencilforge import verify
 
-    return {**dataclasses.asdict(spec), "mults": list(spec.mults),
-            "report": dataclasses.asdict(verify(spec))}
+    report = verify(spec)
+    return {**_written_spec_fields(spec),
+            "report": {"dim_lower_bound": report.dim_lower_bound, "genus_upper_bound": report.genus_upper_bound,
+                       "degree_to_base": report.degree_to_base,
+                       "is_valid_pair_member": report.is_valid_pair_member}}
 
 
 def _written_certificate(certificate):
@@ -298,8 +306,7 @@ def _expected_search(model, orbits, n_max):
     from pencilforge import OrbitStructure, search_pencils
 
     found = search_pencils(model, OrbitStructure(tuple(orbits)), n_max)
-    return {"count": len(found), "specs": [{**dataclasses.asdict(spec), "mults": list(spec.mults)}
-                                           for spec in found]}
+    return {"count": len(found), "specs": [_written_spec_fields(spec) for spec in found]}
 
 
 def _expected_construct(model, orbits):
@@ -742,9 +749,12 @@ def test_a_tiny_alpha_is_refused_at_once(capsys):
     # took 90 s to form before the pre-check refused it unformed.  With
     # 1 < h/c_e < 4 the pre-check never refused: (3/2)^10000000 took 92 s
     # and 3^30000000 12.7 s.  Near h/c_e = 1 it was 1.44 times too weak:
-    # (1001/1000)^12000000 ran for more than 100 s
+    # (1001/1000)^12000000 ran for more than 100 s.  Counting only the
+    # torsion factor, it let n0 = 1001000000 * floor((1001/1000)^9900000),
+    # of 4,307 digits, run past 20 s
     for h, c_e, alpha in [("1" + "0" * 20, "1", "1/1000"), ("1" + "0" * 40, "1", "1/1000000"),
-                          ("3", "2", "1/10000000"), ("3", "1", "1/30000000"), ("1001", "1000", "1/12000000")]:
+                          ("3", "2", "1/10000000"), ("3", "1", "1/30000000"), ("1001", "1000", "1/12000000"),
+                          ("1001000000", "1000000000", "1/9900000")]:
         start = time.process_time()
         code, payload = run(capsys, "kummer", "bound", "--h", h, "--f1", "1", "--c-e", c_e, "--alpha", alpha)
         assert code == 3 and payload == {"ok": False, "error": {"kind": "domain", "message": (
@@ -797,9 +807,9 @@ def test_a_closed_stdout_exits_one_with_nothing_on_stderr(argv, unbuffered):
 def test_the_kummer_pre_check_is_tight_near_one():
     # n0 = 1001 * floor((1001/1000)^q) has 4,300 digits at q = 9899000 and
     # prints.  At q = 9900000 the power alone has 4,298 digits, under the
-    # 2^14285 the pre-check asks of it, so it is let through; at q = 9950000
-    # the power has 4,320 and is refused.  The pre-check alone decides,
-    # without forming any of them
+    # 2^14276 (2^14285 over 1001's 2^9) the pre-check asks of it, so it is
+    # let through; at q = 9950000 the power has 4,320 and is refused.  The
+    # pre-check alone decides, without forming any of them
     from pencilforge import heights
 
     def unprintable(q):
@@ -807,6 +817,14 @@ def test_the_kummer_pre_check_is_tight_near_one():
 
     assert not unprintable(9899000) and not unprintable(9900000)
     assert unprintable(9950000)
+
+
+def test_a_torsion_factor_below_one_gives_zero_however_large_the_division_factor(capsys):
+    # floor(h/f1) = 10^8299 has more than 14,285 bits, but h/c_e = 1/10 is
+    # below 1, so n0 is 0 and is answered
+    code, payload = run(capsys, "kummer", "bound", "--h", "1" + "0" * 4000, "--f1", "1/1" + "0" * 4299,
+                        "--c-e", "1" + "0" * 4001, "--alpha", "1/2")
+    assert code == 0 and payload == {"ok": True, "result": {"n0": 0}}
 
 
 FRACTIONS = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
@@ -818,5 +836,27 @@ def test_the_kummer_pre_check_refuses_only_unprintable_bounds(h, f1, c_e, p, q):
     from pencilforge import heights
 
     inputs = heights.KummerInputs(h, f1, c_e, Fraction(p, q))
+    if cli._kummer_unprintable(inputs):
+        assert heights.kummer_bound(inputs) >= 10 ** cli._MAX_INT_DIGITS
+
+
+@st.composite
+def kummer_inputs(draw):
+    # f1 down to 10^-4299, so that floor(h/f1) alone passes 2^14285 in about
+    # half the draws, and h/c_e far from 1 or near it, on either side
+    from pencilforge import heights
+
+    h = draw(st.one_of(st.integers(1, 10 ** 6), st.integers(10 ** 60, 10 ** 100)))
+    f1 = Fraction(draw(st.integers(1, 1000)), 10 ** draw(st.one_of(st.integers(0, 40), st.integers(4250, 4299))))
+    c_e = draw(st.one_of(FRACTIONS, st.builds(lambda a, b: h * Fraction(a, b), st.integers(1, 1000),
+                                              st.integers(1, 1000))))
+    return heights.KummerInputs(h, f1, c_e, Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 400))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kummer_inputs())
+def test_the_kummer_pre_check_counts_the_division_factor(inputs):
+    from pencilforge import heights
+
     if cli._kummer_unprintable(inputs):
         assert heights.kummer_bound(inputs) >= 10 ** cli._MAX_INT_DIGITS

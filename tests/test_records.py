@@ -4,9 +4,13 @@ Each of the 13 records has a twin here, declared with the standard library's
 `@dataclass(frozen=True, slots=True)` exactly as the record was declared
 before the package built its records itself: the same fields, annotations,
 defaults and hand-written methods.  Every part of the contract the records
-promise (fields, `__match_args__`, constructor signature, equality, hash,
-repr, pickling, copying, frozenness and the `dataclasses` helpers) must read
-the same on a record and on its twin.
+promise must read the same on a record and on its twin: `__slots__`,
+`__match_args__`, the constructor signature, equality, hash, repr, pickling,
+copying and frozenness.  Besides, pprint prints a record's repr, a record is
+no dataclass (`dataclasses.is_dataclass` is false for it, and the other
+`dataclasses` helpers and `copy.replace` refuse it with TypeError), and
+building, comparing, hashing, printing, matching, pickling and copying
+records loads neither `dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
@@ -193,12 +197,6 @@ def test_every_record_has_a_twin():
 
 @pytest.mark.parametrize("twin,record", PAIRS, ids=IDS)
 def test_fields_and_signature_match(twin, record):
-    def flags(cls):
-        return [(f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash, f.compare, f.kw_only)
-                for f in dataclasses.fields(cls)]
-
-    assert flags(record) == flags(twin)
-    assert dataclasses.is_dataclass(record) and dataclasses.is_dataclass(_samples(record)[0])
     assert record.__match_args__ == twin.__match_args__
     assert record.__slots__ == twin.__slots__
     assert record.__qualname__ == twin.__qualname__ and record.__doc__
@@ -267,36 +265,19 @@ def test_frozen_alike(twin, record):
                 assert str(deleted.value) == f"cannot delete field {name!r}"
 
 
-@pytest.mark.parametrize("twin,record", PAIRS, ids=IDS)
-def test_dataclasses_helpers_alike(twin, record):
+@pytest.mark.parametrize("record", [RECORDS[twin] for twin in TWINS], ids=IDS)
+def test_the_dataclasses_helpers_refuse_a_record(record):
+    # a record is a slotted class, not a dataclass: the helpers that read
+    # `__dataclass_fields__`, and `copy.replace`, refuse it
+    helpers = [dataclasses.fields, dataclasses.asdict, dataclasses.astuple, dataclasses.replace]
+    if sys.version_info >= (3, 13):
+        helpers.append(copy.replace)
+    assert not dataclasses.is_dataclass(record)
     for value in _samples(record):
-        other = _twin_of(value, twin)
-        assert dataclasses.asdict(value) == dataclasses.asdict(other)
-        assert dataclasses.astuple(value) == dataclasses.astuple(other)
-        for f in dataclasses.fields(record):
-            # the same result, or the same exception: a field out of
-            # `__init__` cannot be replaced (ValueError before Python 3.13,
-            # TypeError since), nor can BranchLocus's, whose own `__init__`
-            # takes two place ids
-            results = [_outcome(dataclasses.replace, target, **{f.name: getattr(value, f.name)})
-                       for target in (value, other)]
-            assert results[0] == results[1]
-            assert results[0] == (repr(value) if f.init and record is not pf.BranchLocus else TypeError
-                                  if f.init or sys.version_info >= (3, 13) else ValueError)
-
-
-@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
-@pytest.mark.parametrize("twin,record", PAIRS, ids=IDS)
-def test_copy_replace_alike(twin, record):
-    for value in _samples(record):
-        other = _twin_of(value, twin)
-        # every field with its own value (a DERIVED one is refused), then a
-        # name that is no field
-        changes = [{f.name: getattr(value, f.name)} for f in dataclasses.fields(record)] + [{"no_such_field": 0}]
-        for change in changes:
-            results = [_outcome(copy.replace, target, **change) for target in (value, other)]
-            assert results[0] == results[1], change
-        assert _outcome(copy.replace, value, no_such_field=0) is TypeError
+        assert not dataclasses.is_dataclass(value)
+        for helper in helpers:
+            with pytest.raises(TypeError):
+                helper(value)
 
 
 @pytest.mark.parametrize("record", [RECORDS[twin] for twin in TWINS], ids=IDS)
@@ -307,8 +288,7 @@ def test_pprint_prints_the_repr(record):
         assert pprint.pformat(value, width=1)
 
 
-SHARED = ("__eq__", "__hash__", "__repr__", "__getstate__", "__setstate__", "__setattr__", "__delattr__",
-          "__replace__")
+SHARED = ("__eq__", "__hash__", "__repr__", "__getstate__", "__setstate__", "__setattr__", "__delattr__")
 
 
 @pytest.mark.parametrize("record", [RECORDS[twin] for twin in TWINS], ids=IDS)
@@ -339,27 +319,36 @@ def test_generated_of_skips_the_constructor(record, monkeypatch):
     assert calls == []
 
 
-def _outcome(function, *args, **kwargs):
-    # the repr of the result, or the exception class raised
-    try:
-        return repr(function(*args, **kwargs))
-    except Exception as exc:
-        return type(exc)
-
-
-def test_the_dataclass_api_loads_dataclasses_on_first_use():
+def test_the_kept_protocols_load_neither_dataclasses_nor_inspect():
+    # build, compare, hash, print, match, pickle, copy and deep-copy records
+    # in a fresh interpreter; only an assignment loads `dataclasses`, for its
+    # FrozenInstanceError
     code = (
-        "import sys\n"
+        "import copy, pickle, sys\n"
         "import pencilforge as pf\n"
         "spec = pf.PencilSpec('plane', 2, (1, 1, 0))\n"
-        "print(repr(spec), hash(spec) == hash(('plane', 2, (1, 1, 0), 0)), 'dataclasses' in sys.modules)\n"
-        "import dataclasses\n"
-        "print([f.name for f in dataclasses.fields(spec)], dataclasses.replace(spec, level=3).level)\n"
+        "cert = pf.reduce_to_line(pf.NumericalClass(5, (2, 2, 2, 1, 1, 1, 1, 1, 0)))\n"
+        "fibre = pf.KodairaFibre('I0*')\n"
+        "assert spec == pf.PencilSpec('plane', 2, (1, 1, 0), 0) != pf.PencilSpec('plane', 3, (1, 1, 0))\n"
+        "assert hash(spec) == hash(('plane', 2, (1, 1, 0), 0))\n"
+        "match spec:\n"
+        "    case pf.PencilSpec(model, level, mults, extra):\n"
+        "        assert (model, level, mults, extra) == ('plane', 2, (1, 1, 0), 0)\n"
+        "for value in (spec, cert, fibre):\n"
+        "    for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):\n"
+        "        assert again == value and repr(again) == repr(value)\n"
+        "print(repr(spec), repr(fibre))\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        "try:\n"
+        "    spec.level = 3\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__module__, type(exc).__name__, exc)\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(Path(pf.__file__).resolve().parents[1])))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "PencilSpec(model='plane', level=2, mults=(1, 1, 0), extra_conditions=0) True False",
-        "['model', 'level', 'mults', 'extra_conditions'] 3",
+        "PencilSpec(model='plane', level=2, mults=(1, 1, 0), extra_conditions=0) KodairaFibre(symbol='I0*')",
+        "False False",
+        "dataclasses FrozenInstanceError cannot assign to field 'level'",
     ]
