@@ -45,7 +45,6 @@ _EXPORTS = {
     "PencilSpec": "pencils",
     "Unsupported": "pencils",
     "construct_pencils": "pencils",
-    "reduce_orbit_config": "pencils",
     "search_pencils": "pencils",
     "to_numerical_class": "pencils",
     "verify": "pencils",

@@ -25,7 +25,7 @@ import re
 from collections.abc import Mapping
 from functools import lru_cache
 
-from .picard_lattice import DERIVED, record, strict_int
+from .picard_lattice import record, strict_int
 
 _IN_RE = re.compile(r"^I([0-9]+)(\*?)$")
 
@@ -55,11 +55,13 @@ class KodairaFibre:
     symbol was first seen.  Instances compare and hash by `symbol` alone.
     """
 
+    __match_args__ = ("symbol",)
+
     symbol: str
-    index: int | None = DERIVED  # n for I_n and I_n*
-    starred: bool = DERIVED  # a multiple component
-    euler: int = DERIVED  # local Euler number d_v
-    components: int = DERIVED  # m_v
+    index: int | None  # n for I_n and I_n*
+    starred: bool  # a multiple component
+    euler: int  # local Euler number d_v
+    components: int  # m_v
 
     def __new__(cls, symbol: str) -> "KodairaFibre":
         if not isinstance(symbol, str):

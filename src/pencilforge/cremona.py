@@ -63,11 +63,10 @@ _SETTERS = (_set_d, _set_m,
 
 
 def _exact(a: NumericalClass) -> tuple[int, list[int]]:
-    # the degree and multiplicities of a class as exact ints: a
-    # NumericalClass holds them already, any other object with `d` and `m`
-    # goes through the checked constructor once
-    if type(a) is not NumericalClass:
-        a = NumericalClass(a.d, a.m)
+    # the degree and multiplicities of a class, which a NumericalClass holds
+    # as exact ints; any other object is refused
+    if not isinstance(a, NumericalClass):
+        raise TypeError(f"a class must be a NumericalClass, got {a!r}")
     return a.d, list(a.m)
 
 
@@ -116,12 +115,11 @@ def reduce_to_line(a: NumericalClass, max_steps: int = DEFAULT_MAX_STEPS) -> Red
     class with d == 1 is reached; fails when d stops decreasing first or the
     step budget runs out.
 
-    The input is checked once, at entry: a NumericalClass holds exact ints
-    already, and any other object with `d` and `m` goes through the checked
-    constructor.  The classes, steps and certificate derived from it are not
-    checked again.  Each step builds its class and its `CremonaStep`, so the
-    certificate is complete when the call returns; steps at the same centre
-    share one `indices` tuple.
+    The input must be a NumericalClass, which holds exact ints already; any
+    other object is a TypeError.  The classes, steps and certificate derived
+    from it are not checked again.  Each step builds its class and its
+    `CremonaStep`, so the certificate is complete when the call returns;
+    steps at the same centre share one `indices` tuple.
     """
     max_steps = strict_int(max_steps, "max_steps")
     if max_steps < 0:

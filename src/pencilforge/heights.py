@@ -233,6 +233,9 @@ def _floor_root(value: Fraction, exponent: Fraction) -> int:
     n = rhs.numerator // rhs.denominator
     if p == 1:
         return n
+    if n.bit_length() <= p:
+        # 1 <= n < 2**p puts the root in [1, 2)
+        return 1
     t = 1 << -(-n.bit_length() // p)
     while True:
         # from above, each step lowers t until it is the floor of the root
@@ -248,8 +251,7 @@ def kummer_bound(inputs: KummerInputs) -> int:
     The first factor bounds the division index m, the second the order m1 of
     the torsion defect; any section dividing a new one satisfies n <= m*m1.
     """
-    division_bound = Fraction(inputs.h) / inputs.f1
-    m_max = division_bound.numerator // division_bound.denominator
+    m_max = inputs.h // inputs.f1
     if m_max == 0:
         # the torsion factor, of any size, does not change the product
         return 0

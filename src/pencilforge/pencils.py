@@ -146,14 +146,6 @@ class Unsupported:
     reason: str
 
 
-@record
-class DegreeSixReduction:
-    """Rewrite instruction for a degree-six model: blow up one orbit."""
-
-    target_degree: int
-    blow_up_orbit: int
-
-
 def verify(spec: PencilSpec) -> PencilReport:
     """Evaluate the pencil criteria for a spec.
 
@@ -188,18 +180,17 @@ def to_numerical_class(spec: PencilSpec) -> NumericalClass:
     lattice degree-to-base overshoots by that count.
 
     A `PencilSpec` has checked its fields, so its class is built without a
-    second check; any other object with the same fields goes through the
-    checked constructor.
+    second check; any other object is a TypeError.
     """
+    if not isinstance(spec, PencilSpec):
+        raise TypeError(f"a spec must be a PencilSpec, got {spec!r}")
     degree = model_degree(spec.model)
     n = spec.level
     if degree is None:
         d, m = n, spec.mults + (0,) * (9 - len(spec.mults))
     else:
         d, m = 3 * n, (n,) * (9 - degree) + spec.mults
-    if type(spec) is PencilSpec:
-        return NumericalClass._of(d, m)
-    return NumericalClass(d, m)
+    return NumericalClass._of(d, m)
 
 
 def _mult_vector(orbits: OrbitStructure, assignments: dict[int, int]) -> tuple[int, ...]:
@@ -208,25 +199,6 @@ def _mult_vector(orbits: OrbitStructure, assignments: dict[int, int]) -> tuple[i
     for orbit, size in enumerate(orbits.sizes):
         mults += [assignments.get(orbit, 0)] * size
     return tuple(mults)
-
-
-def reduce_orbit_config(orbits: OrbitStructure) -> DegreeSixReduction | Unsupported:
-    """Rewrite a degree-six orbit configuration to degree five or four.
-
-    A second rational point is blown up (target degree five); failing that, a
-    (1, 2, 3) split blows up the two-point orbit (target degree four).  A
-    five-point orbit admits no rewrite.
-    """
-    if orbits.total_points != 6:
-        raise ValueError(f"degree-six rewrite expects 6 points, got {orbits.total_points}")
-    others = [(i, s) for i, s in enumerate(orbits.sizes) if i != orbits.rational_index]
-    for i, s in others:
-        if s == 1:
-            return DegreeSixReduction(5, i)
-    if sorted(s for _, s in others) == [2, 3]:
-        two_orbit = next(i for i, s in others if s == 2)
-        return DegreeSixReduction(4, two_orbit)
-    return Unsupported("degree six with a five-point orbit admits no conic pencil pair")
 
 
 def _drop_orbit(orbits: OrbitStructure, orbit: int) -> OrbitStructure:
@@ -246,9 +218,12 @@ def construct_pencils(
     than the rational point; the two-conjugate-point case with no further
     orbits additionally needs `cubic_pattern`, the base-point multiplicity
     pattern (m1, m2, m3) of a cubic pencil inducing the surface, one of
-    (1,4,4), (3,3,3), (5,2,2), (7,1,1).  Degree-six del Pezzo configurations
-    are first rewritten via `reduce_orbit_config`.  Configurations the
-    constructions exclude yield `Unsupported`.
+    (1,4,4), (3,3,3), (5,2,2), (7,1,1).  A degree-six del Pezzo
+    configuration blows up its smallest orbit besides the rational point,
+    ties to the lower index: a second rational point gives the degree-five
+    pair, the two-point orbit of a (1, 2, 3) split the degree-four pair.
+    Configurations the constructions exclude, a five-point orbit on degree
+    six among them, yield `Unsupported`.
     """
     degree = model_degree(model)
     if degree is None:
@@ -263,10 +238,12 @@ def construct_pencils(
     if degree == 7:
         return Unsupported("there are no minimal rational surfaces of degree seven")
     if degree == 6:
-        rewrite = reduce_orbit_config(orbits)
-        if isinstance(rewrite, Unsupported):
-            return rewrite
-        return construct_pencils(f"dp{rewrite.target_degree}", _drop_orbit(orbits, rewrite.blow_up_orbit))
+        # besides the rational point the orbits hold five points, so the
+        # smallest has size 1, 2 (a (1, 2, 3) split) or 5
+        size, orbit = min((s, i) for i, s in enumerate(orbits.sizes) if i != orbits.rational_index)
+        if size == 5:
+            return Unsupported("degree six with a five-point orbit admits no conic pencil pair")
+        return construct_pencils(f"dp{6 - size}", _drop_orbit(orbits, orbit))
 
     rational = orbits.rational_index
     return tuple(
@@ -282,15 +259,15 @@ def _construct_plane(
     rational = orbits.rational_index
     first = PencilSpec._of(PLANE, 1, _mult_vector(orbits, {rational: 1}))
 
-    others = [(i, s) for i, s in enumerate(orbits.sizes) if i != rational]
+    # the other orbits by size, ties to the lower index
+    others = sorted((s, i) for i, s in enumerate(orbits.sizes) if i != rational)
     if not others:
         return Unsupported("no orbit besides the contracted zero section")
-    orbit, size = min(others, key=_by_size)
+    size, orbit = others[0]
     if size == 2:
-        extras = [(i, s) for i, s in others if i != orbit]
-        if not extras:
+        if len(others) == 1:
             return first, _tangent_conics(orbits, orbit, cubic_pattern)
-        extra, extra_size = min(extras, key=_by_size)
+        extra_size, extra = others[1]
         if extra_size == 2:
             # conics through the four points of the two 2-orbits
             return first, PencilSpec._of(PLANE, 2, _mult_vector(orbits, {orbit: 1, extra: 1}))
@@ -298,11 +275,6 @@ def _construct_plane(
         orbit, size = extra, extra_size
     level, at_rational, on_orbit = _PLANE_SECOND[size]
     return first, PencilSpec._of(PLANE, level, _mult_vector(orbits, {rational: at_rational, orbit: on_orbit}))
-
-
-def _by_size(pair: tuple[int, int]) -> tuple[int, int]:
-    # (orbit index, size) ordered by size, ties to the lower index
-    return pair[1], pair[0]
 
 
 def _tangent_conics(

@@ -58,11 +58,6 @@ def strict_fields(obj: object, *names: str) -> None:
             object.__setattr__(obj, name, strict_int(value, name))
 
 
-#: The class-body value of a record field that the record fills itself: the
-#: field is left out of `__init__`, equality, hashing and repr.
-DERIVED = object()
-
-
 class _Record:
     """The base of every record: the dataclass methods that do not depend on the fields."""
 
@@ -111,30 +106,29 @@ def record(cls: type) -> type:
     `@dataclass(frozen=True, slots=True)` makes a class, without importing
     `dataclasses`, whose helpers do not accept it: the fields are its
     `__slots__`, so no `__dict__` and no weak references, with class-body
-    values as defaults, and its `__match_args__`.  Its one base, `_Record`,
-    holds the methods that do not depend on the fields; `record` compiles
-    the two that do, unless the class defines its own:
+    values as defaults, and its `__match_args__`: the class's own, or else
+    every field.  A class that lists its own `__match_args__` leaves the
+    other fields out of `__init__`, equality, hashing and repr; they are in
+    the slots and in the pickled state only.  Its one base, `_Record`, holds
+    the methods that do not depend on the fields; `record` compiles the two
+    that do, unless the class defines its own:
 
-    * an `__init__` taking the fields in order, positional or keyword, that
-      calls `__post_init__` when the class has one;
-    * an unchecked classmethod `_of` taking every field, `DERIVED` ones too,
-      in pickled-state order with `__init__`'s defaults: it fills
-      `object.__new__(cls)` through the slot setters and runs neither
-      `__init__` nor `__post_init__`.
-
-    A `DERIVED` field is in the slots and in the pickled state only.
+    * an `__init__` taking the `__match_args__` fields in order, positional
+      or keyword, that calls `__post_init__` when the class has one;
+    * an unchecked classmethod `_of` taking every field, in pickled-state
+      order with `__init__`'s defaults: it fills `object.__new__(cls)`
+      through the slot setters and runs neither `__init__` nor
+      `__post_init__`.
     """
     annotations = cls.__annotations__
     body = {name: value for name, value in vars(cls).items() if name not in ("__dict__", "__weakref__")}
     defaults = {name: body.pop(name) for name in annotations if name in body}
-    shown = [name for name in annotations if defaults.get(name) is not DERIVED]
     body["__slots__"] = tuple(annotations)
-    body.setdefault("__match_args__", tuple(shown))
+    shown = body.setdefault("__match_args__", tuple(annotations))
     new = type(cls)(cls.__name__, (_Record,), body)
 
     # `__init__` and `_of` store each field through its slot's own setter
-    param = {name: name if defaults.get(name, DERIVED) is DERIVED else f"{name}=_default_{name}"
-             for name in annotations}
+    param = {name: f"{name}=_default_{name}" if name in defaults else name for name in annotations}
     source = {
         "__init__": [f"def __init__(self, {', '.join(param[name] for name in shown)}):",
                      *(f"    _set_{name}(self, {name})" for name in shown),

@@ -20,7 +20,7 @@ from pencilforge.cremona import (
     reduce_to_line,
 )
 from pencilforge.heights import KummerInputs, SectionIntersections
-from pencilforge.pencils import DegreeSixReduction, OrbitStructure, PencilSpec, Unsupported, verify
+from pencilforge.pencils import OrbitStructure, PencilSpec, Unsupported, verify
 from pencilforge.picard_lattice import (
     CANONICAL,
     FIBRE,
@@ -266,33 +266,26 @@ def test_max_steps_takes_an_exact_integer_only():
             is_connected_class(GOLDEN_START, bad)
 
 
-class Index:
-    """An integer-like value that is not an int: it only has `__index__`."""
+# an object with `d` and `m` is no NumericalClass, whatever it holds:
+# exact ints, a float, a bool or a vector of the wrong length
+LOOK_ALIKES = {
+    "exact-ints": (6, GOLDEN_START.m),
+    "float-degree": (6.0, GOLDEN_START.m),
+    "float-line-degree": (1.0, GOLDEN_START.m),
+    "float-multiplicity": (6, (2.0,) + GOLDEN_START.m[1:]),
+    "bool-multiplicities": (6, (2, 2, 2, 2, 4, True, True, True, True)),
+    "bool-degree": (True, (0,) * 8 + (1,)),
+    "ten-points": (6, GOLDEN_START.m + (0,)),
+    "eight-points": (6, GOLDEN_START.m[:8]),
+}
 
-    def __init__(self, value):
-        self.value = value
 
-    def __index__(self):
-        return self.value
-
-
-def test_duck_typed_classes_are_read_as_exact_integers_once():
-    duck = SimpleNamespace(d=Index(6), m=(2, 2, 2, 2, 4, Index(1), 1, 1, 1))
-    cert = reduce_to_line(duck)
-    assert [s.after for s in cert.chain] == [cls for _, cls in GOLDEN_CHAIN]
-    assert all(exact(s.after) for s in cert.chain)
-    assert exact(quadratic_transform(duck, 1, 2, 5))
-    # a float or a bool raises at entry, even where no step would be taken
-    # (a duck holding True used to be reduced as if it held 1)
-    for d, m in ((6.0, GOLDEN_START.m), (1.0, GOLDEN_START.m), (6, (2.0,) + GOLDEN_START.m[1:]),
-                 (6, (2, 2, 2, 2, 4, True, True, True, True)), (True, (0,) * 8 + (1,))):
-        with pytest.raises(TypeError):
-            reduce_to_line(SimpleNamespace(d=d, m=m))
-        with pytest.raises(TypeError):
-            quadratic_transform(SimpleNamespace(d=d, m=m), 1, 2, 5)
-    for m in (GOLDEN_START.m + (0,), GOLDEN_START.m[:8]):
-        with pytest.raises(ValueError):
-            reduce_to_line(SimpleNamespace(d=6, m=m))
+@pytest.mark.parametrize("d, m", LOOK_ALIKES.values(), ids=LOOK_ALIKES)
+def test_duck_typed_classes_are_refused(d, m):
+    duck = SimpleNamespace(d=d, m=m)
+    for call in (reduce_to_line, is_connected_class, lambda a: quadratic_transform(a, 1, 2, 5)):
+        with pytest.raises(TypeError, match="a class must be a NumericalClass"):
+            call(duck)
 
 
 def test_divergent_class_terminates_by_budget():
@@ -390,7 +383,7 @@ def _records():
     spec = PencilSpec("dp5", 2, (4, 1, 1, 1, 1))
     return [
         GOLDEN_START, cert.chain[0], cert,
-        OrbitStructure((1, 4)), spec, verify(spec), Unsupported("no pair"), DegreeSixReduction(5, 1),
+        OrbitStructure((1, 4)), spec, verify(spec), Unsupported("no pair"),
         KodairaFibre("I3*"), FibreConfiguration((("a", "I2"), ("b", "IV*"))), BranchLocus("a", "b"),
         SectionIntersections(1, 0, 2, ((1, 1),)), KummerInputs(5, Fraction(3, 2), 1, Fraction(1, 2)),
     ]

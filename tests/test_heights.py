@@ -365,7 +365,7 @@ def test_kummer_bound_matches_linear_scan():
 
 @settings(max_examples=500, deadline=None)
 @given(st.fractions(min_value=0, max_value=10 ** 30).filter(lambda v: v > 0),
-       st.integers(1, 40), st.integers(1, 12))
+       st.one_of(st.integers(1, 40), st.integers(100, 10 ** 5)), st.integers(1, 12))
 def test_floor_root_meets_its_defining_inequality(value, p, q):
     # t**(p/q) <= value < (t+1)**(p/q), as t**p * den <= num < (t+1)**p * den
     # with value**q = num/den; the exponent is read in lowest terms
@@ -377,9 +377,12 @@ def test_floor_root_meets_its_defining_inequality(value, p, q):
 
 
 def test_floor_root_of_a_tiny_exponent_is_immediate():
-    # (10^20)^1000 has 20,001 digits: bisection took seconds, the root is direct
+    # (10^20)^1000 has 20,001 digits: bisection took seconds, the root is
+    # direct; a root in [1, 2) is answered before Newton's iteration, which
+    # would form 2**(10^9 - 1) from its start at 2
     start = time.process_time()
     t = heights._floor_root(Fraction(10 ** 20), Fraction(1, 1000))
+    assert heights._floor_root(Fraction(10), Fraction(10 ** 9)) == 1
     assert t == 10 ** 20000 and time.process_time() - start < 0.5
     assert heights._floor_root(Fraction(2 ** 3000 + 1), Fraction(1000)) == 8
 

@@ -19,7 +19,7 @@ PUBLIC_API = [
     "degree_to_base", "enumerate_section_classes", "euler_total", "exceptional",
     "fibre_product_genus", "height_pairing", "intersect", "is_connected_class", "kummer_bound",
     "multiplication_pullback_degree", "mw_rank_bound", "quadratic_transform",
-    "reduce_orbit_config", "reduce_to_line", "search_pencils", "to_numerical_class",
+    "reduce_to_line", "search_pencils", "to_numerical_class",
     "transform_fibre", "unirationality_check", "verify",
 ]
 
@@ -32,7 +32,7 @@ def run_fresh(code):
 
 
 def test_public_api_is_unchanged():
-    assert len(PUBLIC_API) == 41
+    assert len(PUBLIC_API) == 40
     assert pencilforge.__all__ == PUBLIC_API
 
 
@@ -149,8 +149,9 @@ LEAF_REQUESTS = [
 
 
 def test_no_request_loads_dataclasses_or_inspect():
-    # the records build their own methods: `dataclasses`, and `inspect` with
-    # it, load only when a caller asks for the dataclass API
+    # the records build their own methods, so no request loads `dataclasses`
+    # or `inspect`; only an assignment to a record loads `dataclasses`, for
+    # its FrozenInstanceError
     code = (
         "import sys\n"
         "from pencilforge import cli\n"

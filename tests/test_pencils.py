@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from pencilforge.cli import main
 from pencilforge.cremona import is_connected_class, reduce_to_line
 from pencilforge.pencils import (
-    DegreeSixReduction,
     OrbitStructure,
     PencilSpec,
     Unsupported,
     construct_pencils,
-    reduce_orbit_config,
     search_pencils,
     to_numerical_class,
     verify,
@@ -225,14 +223,38 @@ def test_del_pezzo_finer_orbits_still_work():
     both_valid(construct_pencils("dp8", OrbitStructure((1, 1, 6))))
 
 
+# the paper's standard pairs on degree five and four: level, multiplicity at
+# the rational point, multiplicity at every other point
+DP5_PAIR = ((2, 4, 1), (10, 4, 11))
+DP4_PAIR = ((1, 2, 0), (7, 2, 8))
+
+
 def test_degree_six_rewrites():
-    rewrite = reduce_orbit_config(OrbitStructure((1, 2, 3)))
-    assert rewrite == DegreeSixReduction(4, 1)
-    rewrite = reduce_orbit_config(OrbitStructure((1, 1, 2, 2)))
-    assert rewrite == DegreeSixReduction(5, 1)
-    assert isinstance(reduce_orbit_config(OrbitStructure((1, 5))), Unsupported)
-    with pytest.raises(ValueError):
-        reduce_orbit_config(OrbitStructure((1, 4)))
+    # a degree-six model blows up one more orbit: a second rational point
+    # (the first such) gives the dp5 pair of the remaining orbits, a
+    # (1, 2, 3) split the dp4 pair without the 2-orbit, and a five-point
+    # orbit no pair
+    orderings = {ordered for sizes in partitions(6) for ordered in itertools.permutations(sizes)}
+    cases = [(sizes, r) for sizes in sorted(orderings) for r, size in enumerate(sizes) if size == 1]
+    assert len(cases) == 64
+    for sizes, r in cases:
+        others = [i for i in range(len(sizes)) if i != r]
+        singles = [i for i in others if sizes[i] == 1]
+        if singles:
+            model, pair, dropped = "dp5", DP5_PAIR, singles[0]
+        elif sorted(sizes[i] for i in others) == [2, 3]:
+            model, pair, dropped = "dp4", DP4_PAIR, next(i for i in others if sizes[i] == 2)
+        else:
+            assert sorted(sizes) == [1, 5]
+            assert construct_pencils("dp6", OrbitStructure(sizes, r)) == Unsupported(
+                "degree six with a five-point orbit admits no conic pencil pair")
+            continue
+        kept = [i for i in range(len(sizes)) if i != dropped]
+        expected = tuple(
+            spec(model, level, [at_rational if i == r else elsewhere for i in kept for _ in range(sizes[i])])
+            for level, at_rational, elsewhere in pair)
+        assert construct_pencils("dp6", OrbitStructure(sizes, r)) == expected, (sizes, r)
+        both_valid(expected)
 
 
 def test_degree_six_construct_goes_through_rewrite():
@@ -259,6 +281,8 @@ def test_unsupported_low_degrees():
 def test_construct_rejects_inconsistent_orbits():
     with pytest.raises(ValueError):
         construct_pencils("dp5", OrbitStructure((1, 3)))
+    with pytest.raises(ValueError):
+        construct_pencils("dp6", OrbitStructure((1, 4)))
     with pytest.raises(ValueError):
         construct_pencils("plane", OrbitStructure((1,) + (2,) * 5))
 
@@ -308,7 +332,7 @@ def test_del_pezzo_flat_class_matches_worked_example():
 
 def test_only_pencil_specs_skip_the_class_check(monkeypatch):
     # a PencilSpec has checked its fields, so its class is built without a
-    # second check; any other object with the same fields is checked
+    # second check
     checked = []
     original = NumericalClass.__init__
 
@@ -322,11 +346,16 @@ def test_only_pencil_specs_skip_the_class_check(monkeypatch):
         cls = to_numerical_class(spec(model, level, mults))
         assert checked == []
         assert cls.to_list() == expected and type(cls.m) is tuple
-        duck = to_numerical_class(SimpleNamespace(model=model, level=level, mults=mults))
-        assert checked == [expected[0]] and duck == cls
-        checked.clear()
-    with pytest.raises(TypeError):
-        to_numerical_class(SimpleNamespace(model="plane", level=2.0, mults=(1,)))
+
+
+@pytest.mark.parametrize("call", (to_numerical_class, verify), ids=lambda call: call.__name__)
+@pytest.mark.parametrize("extra", (0, 1, 0.5, True))
+def test_look_alike_specs_are_refused(call, extra):
+    # a look-alike's fields are unchecked: extra_conditions of 0.5 would give
+    # bounds of 1.5, and True would answer as 1
+    duck = SimpleNamespace(model="plane", level=2, mults=(1, 1, 1, 1), extra_conditions=extra)
+    with pytest.raises(TypeError, match="a spec must be a PencilSpec"):
+        call(duck)
 
 
 def test_pencil_classes_are_connected():

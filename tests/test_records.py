@@ -1,6 +1,6 @@
 """The record contract against an oracle that shares no code with the library.
 
-Each of the 13 records has a twin here, declared with the standard library's
+Each of the 12 records has a twin here, declared with the standard library's
 `@dataclass(frozen=True, slots=True)` exactly as the record was declared
 before the package built its records itself: the same fields, annotations,
 defaults and hand-written methods.  Every part of the contract the records
@@ -30,7 +30,6 @@ from pathlib import Path
 import pytest
 
 import pencilforge as pf
-from pencilforge import pencils
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -87,12 +86,6 @@ class Unsupported:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeSixReduction:
-    target_degree: int
-    blow_up_orbit: int
-
-
 @dataclass(frozen=True, init=False, slots=True)
 class KodairaFibre:
     symbol: str
@@ -144,9 +137,9 @@ class KummerInputs:
 
 
 TWINS = [NumericalClass, CremonaStep, ReductionCertificate, OrbitStructure, PencilSpec, PencilReport,
-         Unsupported, DegreeSixReduction, KodairaFibre, FibreConfiguration, BranchLocus,
+         Unsupported, KodairaFibre, FibreConfiguration, BranchLocus,
          SectionIntersections, KummerInputs]
-RECORDS = {twin: getattr(pf, twin.__name__, None) or getattr(pencils, twin.__name__) for twin in TWINS}
+RECORDS = {twin: getattr(pf, twin.__name__) for twin in TWINS}
 
 
 def _samples(record: type) -> list:
@@ -161,7 +154,6 @@ def _samples(record: type) -> list:
         "PencilSpec": [pf.PencilSpec("plane", 2, (1, 1, 0), 1), pf.PencilSpec("dp4", 1, (2, 0, 0, 0))],
         "PencilReport": [pf.PencilReport(2, 0, 2, True), pf.verify(pf.PencilSpec("plane", 1, (1,)))],
         "Unsupported": [pf.Unsupported("no pair")],
-        "DegreeSixReduction": [pencils.DegreeSixReduction(5, 1)],
         "KodairaFibre": [pf.KodairaFibre("I0*"), pf.KodairaFibre("II*"), pf.KodairaFibre("I3")],
         "FibreConfiguration": [pf.FibreConfiguration((("a", "I2"), ("b", "IV*")))],
         "BranchLocus": [pf.BranchLocus("a", "b")],
@@ -191,7 +183,7 @@ IDS = [twin.__name__ for twin in TWINS]
 
 
 def test_every_record_has_a_twin():
-    assert len(TWINS) == 13
+    assert len(TWINS) == 12
     assert {record.__name__ for record in RECORDS.values()} == {twin.__name__ for twin in TWINS}
 
 
